@@ -6,10 +6,8 @@ written atomically and are byte-identical for identical configurations.
 """
 
 import argparse
-import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -143,23 +141,9 @@ def config_from_args(args):
     return RunConfig(**fields)
 
 
-def _write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-out-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(text, path):
     if path:
-        _write_atomic(path, text)
+        render.write_atomic(path, text)
     else:
         sys.stdout.write(text)
 
@@ -185,9 +169,9 @@ def _run_scan(config):
                   boundary_width=config.boundary_width)
     _emit(render.dump_json(render.scan_document(report)), config.out)
     if config.csv:
-        _write_atomic(config.csv, render.scan_csv(report))
+        render.write_atomic(config.csv, render.scan_csv(report))
     if config.svg:
-        _write_atomic(config.svg, render.scan_svg(report))
+        render.write_atomic(config.svg, render.scan_svg(report))
     return 0
 
 

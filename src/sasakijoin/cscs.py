@@ -127,8 +127,8 @@ def build_condition(setup, degree_bound=None):
 def csc_roots(setup, width):
     """All roots of the cscS condition in (-1, 1), certified.
 
-    Each root comes back as a RootInterval of width <= width; roots that are
-    rational get their exact_value filled in (bracket kept).
+    Each root comes back as a RootInterval of width <= width; exact_value
+    holds the root when it is rational, and None proves it irrational.
     """
     width = Fraction(width)
     if width <= 0:

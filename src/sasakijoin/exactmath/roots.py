@@ -1,9 +1,9 @@
 """Certified real-root machinery: Sturm counting, isolation, identification.
 
-Everything here is exact.  A root is either pinned to a rational value (exact
-evaluation confirms it) or bracketed by a RootInterval whose certificate is
-recorded: "exact" when a Sturm count over the interval equals 1, "sign-change"
-when the endpoint signs differ.
+Everything here is exact.  A root is bracketed by a RootInterval certified
+"exact" (a Sturm count over the interval equals 1) or "sign-change" (the
+endpoint signs differ), then pinned to a rational value that exact evaluation
+confirms or proven irrational by the rational root theorem.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,8 @@ class RootInterval:
 
     multiplicity_note records the certificate: "exact" (Sturm count = 1) or
     "sign-change" (opposite signs at the endpoints).  exact_value is filled
-    when the root has been identified as a rational number; the bracket is
-    still valid in that case.
+    when the root has been identified as a rational number, bracket kept; after
+    identify_rational_root, exact_value None proves the root irrational.
     """
 
     lo: Fraction
@@ -127,25 +127,30 @@ def isolate_roots(p, lo, hi, width):
         return []
     chain = _sturm_chain(sf)
     out = []
-
-    def split(a, b, va, vb):
-        n = va - vb
-        if n == 0:
-            return
-        if n == 1 and b - a <= width:
+    # (a, b, Sturm variations at a and b, sf(a)); the left half is refined
+    # first and the right one waits on the stack, so roots come out in order
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi), sf(lo))]
+    while stack:
+        a, b, va, vb, fa = stack.pop()
+        while va - vb > 1 or (va - vb == 1 and b - a > width):
+            m, k = (a + b) / 2, 3
+            fm = sf(m)
+            while fm == 0:
+                # nudge the split point off a root; offsets k/(2k+1) are all distinct
+                m, k = a + (b - a) * Fraction(k, 2 * k + 1), k + 1
+                fm = sf(m)
+            if va - vb == 1:
+                # one simple root, and sf(a) != 0: the sign of sf(m) decides
+                if (fm > 0) == (fa > 0):
+                    a, fa = m, fm
+                else:
+                    b = m
+            else:
+                vm = _variations(chain, m)
+                stack.append((m, b, vm, vb, fm))
+                b, vb = m, vm
+        if va - vb == 1:
             out.append(RootInterval(a, b, "exact"))
-            return
-        m = (a + b) / 2
-        k = 3
-        while sf(m) == 0:
-            # nudge the split point off a root; offsets k/(2k+1) are all distinct
-            m = a + (b - a) * Fraction(k, 2 * k + 1)
-            k += 1
-        vm = _variations(chain, m)
-        split(a, m, va, vm)
-        split(m, b, vm, vb)
-
-    split(lo, hi, _variations(chain, lo), _variations(chain, hi))
     return out
 
 
@@ -193,13 +198,14 @@ def simplest_rational_in(lo, hi):
     return n + 1 / frac
 
 
-def identify_rational_root(p, lo, hi, max_halvings=300):
-    """Try to pin the unique simple root of p in (lo, hi) to an exact rational.
+def identify_rational_root(p, lo, hi):
+    """Pin the unique simple root of p in (lo, hi) to an exact rational.
 
-    Requires a sign change across the bracket.  Repeatedly proposes the
-    simplest rational in the current bracket and shrinks on failure; gives up
-    (returns None) after max_halvings bisections, which means the root, if
-    rational at all, has astronomically large height.
+    Requires a sign change across the bracket.  By the rational root theorem
+    every rational root of p is j/l with j an integer and l the leading
+    coefficient of p's primitive integer multiple, up to sign.  Bisecting to
+    width at most 1/l leaves one candidate j/l to test, so None proves the
+    root irrational.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     v_lo, v_hi = p(lo), p(hi)
@@ -207,11 +213,11 @@ def identify_rational_root(p, lo, hi, max_halvings=300):
         return lo if v_lo == 0 else hi
     if (v_lo > 0) == (v_hi > 0):
         return None
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    content = math.gcd(*(c.numerator * (den // c.denominator) for c in p.coeffs))
+    grid = abs(p.leading.numerator) * (den // p.leading.denominator) // content
     positive_left = v_lo > 0
-    for _ in range(max_halvings):
-        cand = simplest_rational_in(lo, hi)
-        if p(cand) == 0:
-            return cand
+    while (hi - lo) * grid > 1:
         mid = (lo + hi) / 2
         v = p(mid)
         if v == 0:
@@ -220,4 +226,7 @@ def identify_rational_root(p, lo, hi, max_halvings=300):
             lo = mid
         else:
             hi = mid
+    cand = Fraction(math.floor(lo * grid) + 1, grid)
+    if cand < hi and p(cand) == 0:
+        return cand
     return None

@@ -6,6 +6,8 @@ are sorted, floats are fixed-format, and no timestamps appear anywhere.
 """
 
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 from ._version import __version__
@@ -182,6 +184,21 @@ def reproduce_document(results):
 
 def dump_json(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_atomic(path, text):
+    """Write text to path through a temporary file in the same directory."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-out-")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def scan_csv(report):

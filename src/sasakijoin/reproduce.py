@@ -6,7 +6,6 @@ success.  A failing check is reported, never masked.
 """
 
 import os
-import tempfile
 from fractions import Fraction
 
 from . import render
@@ -296,23 +295,9 @@ def run_checks():
     return [check() for check in _CHECKS]
 
 
-def _write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-reproduce-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def run(out_dir):
     """Run every check and write reproduce.json; returns (ok, results)."""
     results = run_checks()
     doc = render.reproduce_document(results)
-    _write_atomic(os.path.join(out_dir, "reproduce.json"), render.dump_json(doc))
+    render.write_atomic(os.path.join(out_dir, "reproduce.json"), render.dump_json(doc))
     return all(r["ok"] for r in results), results

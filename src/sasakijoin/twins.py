@@ -34,7 +34,7 @@ class TwinReport:
     partners is a tuple of rational parameters, or the string "continuum"
     when the matching system is identically satisfied (verified on samples).
     unresolved collects isolating intervals of candidates that pass every
-    coefficient equation but could not be pinned to a rational value.
+    coefficient equation but are proven irrational.
     """
 
     base_c: Fraction

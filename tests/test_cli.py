@@ -54,6 +54,19 @@ def test_csc_roots_command(capsys):
     assert F(root["lo"]["exact"]) < F(2, 5) < F(root["hi"]["exact"])
 
 
+def test_csc_roots_at_tiny_width(capsys):
+    # each bracket takes about 1100 bisections; no recursion limit applies
+    width = F(1, 2 ** 1100)
+    code, out, _ = run_cli(capsys, ["csc-roots", "--d", "1", "--a", "1",
+                                    "--g2", "1", "--k", "1", "--x", "1/2",
+                                    "--width", f"1/{2 ** 1100}"])
+    assert code == 0
+    roots = json.loads(out)["roots"]
+    assert roots
+    for root in roots:
+        assert F(root["hi"]["exact"]) - F(root["lo"]["exact"]) <= width
+
+
 def test_twins_command(capsys):
     code, out, _ = run_cli(capsys, ["twins", "--d", "1", "--a", "19/3",
                                     "--g2", "3", "--k", "1", "--x", "1/2",

@@ -190,7 +190,7 @@ def test_isolate_quartic_negative_roots():
         rl, rh = refine_bracket(QUARTIC, iv.lo, iv.hi, F(1, 10 ** 10))
         assert iv.lo <= rl and rh <= iv.hi
         assert abs(iv.midpoint - (rl + rh) / 2) <= iv.width
-    # the two roots are irrational: identification gives up cleanly
+    # the two roots are irrational, and identification proves it
     for iv in ivs:
         assert identify_rational_root(QUARTIC, iv.lo, iv.hi) is None
 
@@ -222,6 +222,25 @@ def test_isolate_rejects_bad_requests():
         isolate_roots(QUARTIC, 1, -1, F(1, 10))
     with pytest.raises(ZeroPolynomial):
         isolate_roots(UniPoly(()), -1, 1, F(1, 10))
+
+
+def test_isolate_at_tiny_width():
+    # each bracket takes about 1100 bisections; no recursion limit applies
+    p = UniPoly((-9, 10)) * QUARTIC
+    width = F(1, 2 ** 1100)
+    ivs = isolate_roots(p, -1, 1, width)
+    assert len(ivs) == 3
+    for iv in ivs:
+        assert iv.width <= width
+        assert sturm_count_roots(p, iv.lo, iv.hi) == 1
+
+
+def test_isolate_nudges_split_points_off_roots():
+    # bisection midpoints land exactly on both roots, 0 and 1/4
+    p = UniPoly.variable() * UniPoly((-F(1, 4), 1))
+    ivs = isolate_roots(p, -1, 1, F(1, 64))
+    assert [(iv.lo, iv.hi) for iv in ivs] == [(F(-1, 343), F(3, 343)),
+                                              (F(12, 49), F(25, 98))]
 
 
 def test_refine_bracket():
@@ -261,6 +280,56 @@ def test_identify_rational_root():
     assert identify_rational_root(UniPoly((-1, 1)), 1, 2) == 1
     # no sign change: nothing to identify
     assert identify_rational_root(UniPoly((1, 0, 1)), -1, 1) is None
+
+
+class CountingPoly(UniPoly):
+    """A UniPoly that counts its evaluations."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return super().__call__(t)
+
+
+def _ceil_log2(x):
+    """Smallest e >= 0 with 2**e >= x."""
+    e = 0
+    while 2 ** e < x:
+        e += 1
+    return e
+
+
+@st.composite
+def rational_root_cases(draw):
+    """(m, k, n, scale): p = scale * (m z - k) * (z^2 - n), n not a square."""
+    m = draw(st.integers(1, 2 ** 60))
+    k = draw(st.integers(-4 * m + 1, 4 * m - 1))
+    s = draw(st.integers(1, 3))
+    n = s * s + draw(st.integers(1, 2 * s))
+    scale = draw(rationals.filter(bool))
+    return m, k, n, scale
+
+
+@given(rational_root_cases(), st.sampled_from([F(1, 64), F(1, 2048), F(1, 2 ** 64)]))
+def test_identify_rational_root_is_complete(case, width):
+    m, k, n, scale = case
+    p = UniPoly((-k, m)) * UniPoly((-n, 0, 1)) * scale
+    root = F(k, m)
+    # by Gauss's lemma the primitive integer multiple of p leads with this
+    grid = root.denominator
+    ivs = isolate_roots(p, -5, 5, width)
+    assert len(ivs) == 3
+    counted = CountingPoly(p.coeffs)
+    for iv in ivs:
+        counted.calls = 0
+        found = identify_rational_root(counted, iv.lo, iv.hi)
+        assert found == (root if iv.lo < root < iv.hi else None)
+        assert counted.calls <= _ceil_log2(grid * iv.width) + 3
 
 
 def test_root_interval_validation():
