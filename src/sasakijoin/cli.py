@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import render, reproduce
-from .conescan import classify_ray, scan
+from .conescan import is_extremal, scan
 from .cscs import csc_condition, csc_roots
 from .errors import DomainError
 from .exactmath import parse_rational
@@ -156,8 +156,7 @@ def _setup_from_config(config):
 def _run_profile(config):
     setup = _setup_from_config(config)
     prof = compute_profile(setup, config.c)
-    extremal = classify_ray(setup, config.c).extremal
-    doc = render.profile_document(setup, prof, extremal,
+    doc = render.profile_document(setup, prof, is_extremal(prof.F),
                                   csc_condition(setup, config.c))
     _emit(render.dump_json(doc), config.out)
     return 0

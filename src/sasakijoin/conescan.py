@@ -67,12 +67,16 @@ class ConeScanReport:
 _ONE_MINUS_Z2 = UniPoly((1, 0, -1))
 
 
+def is_extremal(F):
+    """True iff the profile F is positive on (-1, 1), i.e. F/(1-z^2) is."""
+    cofactor = exact_divide(F, _ONE_MINUS_Z2)
+    return is_positive_on_open(cofactor, Fraction(-1), Fraction(1))
+
+
 def classify_ray(setup, c):
     """Profile plus the two verdicts for a single ray: extremal and cscS."""
     prof = compute_profile(setup, c)
-    cofactor = exact_divide(prof.F, _ONE_MINUS_Z2)
-    extremal = is_positive_on_open(cofactor, Fraction(-1), Fraction(1))
-    return RayClassification(c=prof.c, extremal=extremal,
+    return RayClassification(c=prof.c, extremal=is_extremal(prof.F),
                              cscS=cscS_check(prof), F=prof.F)
 
 

@@ -6,20 +6,17 @@ to the constant 4/9); for general p it is recovered by exact interpolation
 (condition_numerator) and then fed to the certified root machinery.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InconsistentSystem, InterpolationMismatch, WrongWeight
 from .exactmath import (
     RootInterval,
     UniPoly,
-    exact_divide,
     identify_rational_root,
-    isolate_roots,
     solve_exact,
     squarefree_part,
 )
-from .joinsetup import ProductSetup
+from .exactmath.roots import _isolate_reduced, _strip_endpoint_roots
 from .profile import alpha, beta
 
 
@@ -105,25 +102,6 @@ def condition_numerator(setup, degree_bound=None):
             bound *= 2
 
 
-@dataclass(frozen=True)
-class CscCondition:
-    """The cscS condition packaged as numerator over (1-c^2)^denominator_exponent."""
-
-    setup: ProductSetup
-    numerator: UniPoly
-    denominator_exponent: int
-
-    def evaluation(self, c):
-        c = Fraction(c)
-        return csc_condition(self.setup, c)
-
-
-def build_condition(setup, degree_bound=None):
-    return CscCondition(setup=setup,
-                        numerator=condition_numerator(setup, degree_bound),
-                        denominator_exponent=2 * setup.p - 3)
-
-
 def csc_roots(setup, width):
     """All roots of the cscS condition in (-1, 1), certified.
 
@@ -136,13 +114,12 @@ def csc_roots(setup, width):
     numerator = condition_numerator(setup)
     if not numerator:
         raise DomainError("cscS condition vanishes identically")
-    reduced = squarefree_part(numerator)
-    for end in (Fraction(-1), Fraction(1)):
-        # match the isolation window: boundary roots are not cone rays
-        while reduced(end) == 0:
-            reduced = exact_divide(reduced, UniPoly((-end, 1)))
+    # one reduction serves isolation and identification; boundary roots are
+    # not cone rays
+    one = Fraction(1)
+    reduced = _strip_endpoint_roots(squarefree_part(numerator), -one, one)
     out = []
-    for interval in isolate_roots(numerator, Fraction(-1), Fraction(1), width):
+    for interval in _isolate_reduced(reduced, -one, one, width):
         lo, hi = _shrink_into_open_cone(reduced, interval.lo, interval.hi)
         exact = identify_rational_root(reduced, lo, hi)
         out.append(RootInterval(lo, hi, interval.multiplicity_note,

@@ -122,7 +122,12 @@ def isolate_roots(p, lo, hi, width):
         raise DomainError("width must be positive")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got {lo}, {hi}")
-    sf = _strip_endpoint_roots(squarefree_part(p), lo, hi)
+    return _isolate_reduced(_strip_endpoint_roots(squarefree_part(p), lo, hi),
+                            lo, hi, width)
+
+
+def _isolate_reduced(sf, lo, hi, width):
+    """isolate_roots for a squarefree sf with no root at lo or hi."""
     if sf.degree < 1:
         return []
     chain = _sturm_chain(sf)

@@ -160,11 +160,6 @@ def _coerce(v):
     return None
 
 
-def poly_eval(p, t):
-    """Exact value of p at the rational t."""
-    return p(t)
-
-
 def exact_divide(num, den):
     """Quotient q with num = q * den exactly; InexactDivision otherwise."""
     if not den:

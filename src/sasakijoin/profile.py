@@ -7,28 +7,16 @@ F is the unique degree-p polynomial satisfying
         = (cz+1)^2 (2a(1+xz) + 2sx) - (A1 z + A2)(1 + xz)
 
 with F(+-1) = 0, F'(1) = -2(1+x), F'(-1) = 2(1-x), where (A1, A2) are fixed
-first by two weighted moment conditions.  Everything is solved exactly and
-cross-checked against an independent integral representation before being
-returned.
+first by two weighted moment conditions.  F comes in closed form from
+integrating the ODE twice, and every profile is checked exactly against the
+endpoint conditions and the ODE before being returned.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DomainError,
-    InconsistentSystem,
-    InexactDivision,
-    InternalInconsistency,
-    SingularSystem,
-)
-from .exactmath import (
-    UniPoly,
-    exact_divide,
-    integrate_weighted_monomial,
-    solve_2x2,
-    solve_exact,
-)
+from .errors import DomainError, InexactDivision, InternalInconsistency
+from .exactmath import UniPoly, exact_divide, integrate_weighted_monomial, solve_2x2
 from .joinsetup import ProductSetup
 
 
@@ -105,41 +93,42 @@ def _antiderivative(poly):
         Fraction(coeff, i + 1) for i, coeff in enumerate(poly.coeffs)))
 
 
-def integral_formula_value(setup, c, A1, A2, z0):
-    """F(z0) by the integral representation, independent of the linear solve.
+def _closed_form(setup, c, rhs):
+    """The profile F, by integrating the ODE twice.
 
-    Dividing F by (cz+1)^(p-1) reduces the ODE to a bare second derivative,
-    so F(z0) = (cz0+1)^(p-1) [ 2(1-x)(z0+1)/(1-c)^(p-1)
-                               + int_{-1}^{z0} Q(t) (z0 - t) dt ]
+    The operator maps (cz+1)^m to c^2 (m-p)(m-p+1) (cz+1)^m, so its kernel is
+    spanned by (cz+1)^p and (cz+1)^(p-1); dividing F by (cz+1)^(p-1) reduces
+    the ODE to a bare second derivative, and the endpoint data at z = -1 give
+        F(z) = (cz+1)^(p-1) [ 2(1-x)(z+1)/(1-c)^(p-1)
+                              + int_{-1}^z Q(t) (z - t) dt ]
     with Q(t) = rhs(t)/(ct+1)^(p+1).
     """
-    c, z0 = Fraction(c), Fraction(z0)
     p, x = setup.p, setup.x
-    rhs = _ode_rhs(setup, c, A1, A2)
-    head = 2 * (1 - x) * (z0 + 1) / (1 - c) ** (p - 1)
+    z = UniPoly.variable()
     if c == 0:
-        anti = _antiderivative(rhs * (z0 - UniPoly.variable()))
-        integral = anti(z0) - anti(-1)
-    else:
-        # substitute u = ct + 1; for p >= 5 the numerator degree stays below
-        # p + 1, so the u-integrand is a Laurent polynomial with no 1/u term
-        rhs_u = _compose_affine(rhs, Fraction(1, c), Fraction(-1, c))
-        numerator = rhs_u * (c * z0 + 1 - UniPoly.variable())
-        lo, hi = 1 - c, c * z0 + 1
-        total = Fraction(0)
-        for j, b in enumerate(numerator.coeffs):
-            e = j - (p + 1)
-            if b == 0:
-                continue
-            if e == -1:
-                raise InternalInconsistency("logarithmic term in profile integral")
-            total += b * (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
-        integral = total / c ** 2
-    return (c * z0 + 1) ** (p - 1) * (head + integral)
+        i1, i2 = _antiderivative(rhs), _antiderivative(z * rhs)
+        return 2 * (1 - x) * (z + 1) + z * (i1 - i1(-1)) - (i2 - i2(-1))
+    # in u = cz+1 the integrand is a Laurent polynomial; deg rhs <= 3 < p-1,
+    # so every power integrates to a power and no log term can occur
+    b = _compose_affine(rhs, 1 / c, -1 / c).coeffs
+    u0, c2 = 1 - c, c * c
+    lam = 2 * (1 - x) / (c * u0 ** (p - 1))
+    k1 = sum(bj * u0 ** (j - p) / (j - p) for j, bj in enumerate(b))
+    k2 = sum(bj * u0 ** (j - p + 1) / (j - p + 1) for j, bj in enumerate(b))
+    g = [bj / ((j - p) * (j - p + 1) * c2) for j, bj in enumerate(b)]
+    g += [Fraction(0)] * (p + 1 - len(g))
+    g[p - 1] += k2 / c2 - lam * u0
+    g[p] += lam - k1 / c2
+    return _compose_affine(UniPoly(g), c, Fraction(1))
 
 
 def compute_profile(setup, c):
-    """Solve for the profile of the ray at parameter c, exactly and verified."""
+    """The profile of the ray at parameter c, in closed form and verified.
+
+    The endpoint conditions and the ODE are checked exactly on the result.
+    They determine F uniquely for |c| < 1: the only kernel element
+    (cz+1)^(p-1) (mz + n) vanishing at z = +-1 is zero.
+    """
     if not isinstance(setup, ProductSetup):
         raise DomainError("compute_profile needs a ProductSetup")
     c = Fraction(c)
@@ -148,26 +137,7 @@ def compute_profile(setup, c):
     p, x = setup.p, setup.x
     A1, A2 = solve_A(setup, c)
     rhs = _ode_rhs(setup, c, A1, A2)
-
-    basis_images = [
-        _apply_ode_operator(UniPoly([0] * j + [1]), p, c) for j in range(p + 1)
-    ]
-    rows = [[img.coefficient(i) for img in basis_images] for i in range(p + 1)]
-    vec = [rhs.coefficient(i) for i in range(p + 1)]
-    rows.append([Fraction(1)] * (p + 1))
-    vec.append(Fraction(0))
-    rows.append([Fraction((-1) ** j) for j in range(p + 1)])
-    vec.append(Fraction(0))
-    rows.append([Fraction(j) for j in range(p + 1)])
-    vec.append(-2 * (1 + x))
-    rows.append([Fraction(j * (-1) ** (j - 1)) for j in range(p + 1)])
-    vec.append(2 * (1 - x))
-    try:
-        coeffs = solve_exact(rows, vec)
-    except (SingularSystem, InconsistentSystem) as exc:
-        raise InternalInconsistency(
-            f"profile system unsolvable at c={c}: {exc}") from exc
-    F = UniPoly(coeffs)
+    F = _closed_form(setup, c, rhs)
 
     dF = F.derivative()
     if (F(1) != 0 or F(-1) != 0
@@ -175,10 +145,6 @@ def compute_profile(setup, c):
         raise InternalInconsistency(f"endpoint conditions violated at c={c}")
     if _apply_ode_operator(F, p, c) != rhs:
         raise InternalInconsistency(f"ODE residual nonzero at c={c}")
-    for z0 in (Fraction(0), Fraction(1, 3), Fraction(-2, 7)):
-        if integral_formula_value(setup, c, A1, A2, z0) != F(z0):
-            raise InternalInconsistency(
-                f"integral representation mismatch at c={c}, z0={z0}")
     return ExtremalProfile(c=c, F=F, A1=A1, A2=A2, p=p)
 
 

@@ -68,6 +68,51 @@ def random_setup(rng, d=1, a=None):
                       degree_k=rng.randint(1, 6), x=random_x(rng))
 
 
+def ode_rhs(setup, c, A1, A2):
+    """Right-hand side of the profile ODE at the ray parameter c."""
+    w = UniPoly((1, c))
+    source = UniPoly((2 * setup.a + 2 * setup.s * setup.x, 2 * setup.a * setup.x))
+    return w * w * source - UniPoly((A2, A1)) * UniPoly((1, setup.x))
+
+
+def _antiderivative(poly):
+    return UniPoly((0,) + tuple(coeff / (i + 1) for i, coeff in enumerate(poly.coeffs)))
+
+
+def integral_formula_value(setup, c, A1, A2, z0):
+    """F(z0) by the integral representation, pointwise.
+
+    Dividing F by (cz+1)^(p-1) reduces the ODE to a bare second derivative,
+    so F(z0) = (cz0+1)^(p-1) [ 2(1-x)(z0+1)/(1-c)^(p-1)
+                               + int_{-1}^{z0} Q(t) (z0 - t) dt ]
+    with Q(t) = rhs(t)/(ct+1)^(p+1).
+    """
+    c, z0 = Fraction(c), Fraction(z0)
+    p, x = setup.p, setup.x
+    rhs = ode_rhs(setup, c, A1, A2)
+    head = 2 * (1 - x) * (z0 + 1) / (1 - c) ** (p - 1)
+    if c == 0:
+        anti = _antiderivative(rhs * UniPoly((z0, -1)))
+        integral = anti(z0) - anti(-1)
+    else:
+        # substitute u = ct + 1; for p >= 5 the numerator degree stays below
+        # p + 1, so the u-integrand is a Laurent polynomial with no 1/u term
+        arg = UniPoly((-1 / c, 1 / c))
+        rhs_u = UniPoly()
+        for coeff in reversed(rhs.coeffs):
+            rhs_u = rhs_u * arg + coeff
+        numerator = rhs_u * UniPoly((c * z0 + 1, -1))
+        lo, hi = 1 - c, c * z0 + 1
+        total = Fraction(0)
+        for j, b in enumerate(numerator.coeffs):
+            e = j - (p + 1)
+            assert e != -1 or b == 0, "logarithmic term in profile integral"
+            if b:
+                total += b * (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
+        integral = total / c ** 2
+    return (c * z0 + 1) ** (p - 1) * (head + integral)
+
+
 def proportional(p, q):
     """True when q == t*p for a single nonzero rational t."""
     if p.degree != q.degree:

@@ -25,7 +25,6 @@ from sasakijoin.exactmath import (
     is_positive_on_open,
     isolate_roots,
     parse_rational,
-    poly_eval,
     poly_gcd,
     refine_bracket,
     simplest_rational_in,
@@ -100,10 +99,10 @@ def test_poly_gcd_and_squarefree():
     assert squarefree_part(zm1 ** 2 * UniPoly((2, 1))) == zm1 * UniPoly((2, 1))
 
 
-def test_poly_eval_matches_call():
+def test_call_evaluates_exactly():
     p = UniPoly((-292, 191, 1820))
-    assert poly_eval(p, 0) == -292
-    assert poly_eval(p, F(1, 2)) == p(F(1, 2))
+    assert p(0) == -292
+    assert p(F(1, 2)) == -292 + F(191, 2) + F(1820, 4)
 
 
 # -- Sturm counting -----------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sasakijoin import (
     UniPoly,
@@ -19,9 +21,11 @@ from sasakijoin import (
     solve_A,
 )
 from sasakijoin.errors import DomainError
-from sasakijoin.profile import integral_formula_value
+from sasakijoin.exactmath import solve_exact
 from support import (
     ONE_MINUS_Z2,
+    integral_formula_value,
+    ode_rhs,
     random_c,
     random_setup,
     random_x,
@@ -92,15 +96,16 @@ def test_profile_shared_by_twin_rays():
 
 # -- defining identities -------------------------------------------------------
 
-def _ode_residual(setup, prof):
-    c, p = prof.c, setup.p
+def _ode_operator(poly, p, c):
     fz = UniPoly((1, c))
-    lhs = (fz * fz * prof.F.derivative().derivative()
-           - 2 * (p - 1) * c * fz * prof.F.derivative()
-           + p * (p - 1) * c * c * prof.F)
-    source = UniPoly((2 * setup.a + 2 * setup.s * setup.x, 2 * setup.a * setup.x))
-    rhs = fz * fz * source - UniPoly((prof.A2, prof.A1)) * UniPoly((1, setup.x))
-    return lhs - rhs
+    return (fz * fz * poly.derivative().derivative()
+            - 2 * (p - 1) * c * fz * poly.derivative()
+            + p * (p - 1) * c * c * poly)
+
+
+def _ode_residual(setup, prof):
+    return (_ode_operator(prof.F, setup.p, prof.c)
+            - ode_rhs(setup, prof.c, prof.A1, prof.A2))
 
 
 def test_profile_satisfies_ode_and_endpoints():
@@ -128,6 +133,55 @@ def test_profile_matches_integral_representation():
         for z0 in (F(-1), F(1), F(1, 2), F(-3, 7), F(0)):
             assert prof.F(z0) == integral_formula_value(
                 setup, c, prof.A1, prof.A2, z0)
+
+
+# -- closed form against exact elimination -------------------------------------
+
+def _linear_system_profile(setup, c):
+    """(F, A1, A2) by exact elimination, independent of the closed form.
+
+    (A1, A2) solve the two moment conditions; F solves the (p+5) x (p+1)
+    system of the p+1 ODE coefficients and the four endpoint conditions.
+    """
+    p, x = setup.p, setup.x
+    qa, qb = -(p + 1), -(p - 1)
+    A1, A2 = solve_exact(
+        [[alpha(setup, c, 1, qa), alpha(setup, c, 0, qa)],
+         [alpha(setup, c, 2, qa), alpha(setup, c, 1, qa)]],
+        [2 * beta(setup, c, 0, qb), 2 * beta(setup, c, 1, qb)])
+    rhs = ode_rhs(setup, c, A1, A2)
+    images = [_ode_operator(UniPoly([0] * j + [1]), p, c) for j in range(p + 1)]
+    rows = [[img.coefficient(i) for img in images] for i in range(p + 1)]
+    vec = [rhs.coefficient(i) for i in range(p + 1)]
+    rows += [[1] * (p + 1), [(-1) ** j for j in range(p + 1)],
+             list(range(p + 1)), [-j * (-1) ** j for j in range(p + 1)]]
+    vec += [0, 0, -2 * (1 + x), 2 * (1 - x)]
+    return UniPoly(solve_exact(rows, vec)), A1, A2
+
+
+def _assert_matches_linear_system(setup, c):
+    prof = compute_profile(setup, c)
+    assert (prof.F, prof.A1, prof.A2) == _linear_system_profile(setup, c)
+
+
+def test_closed_form_matches_linear_system():
+    rng = random.Random(43)
+    near_one = 1 - F(1, 2 ** 30)
+    for d in range(1, 6):
+        setup = random_setup(rng, d=d)
+        for c in (F(0), near_one, -near_one, random_c(rng)):
+            _assert_matches_linear_system(setup, c)
+
+
+@given(st.integers(1, 5),
+       st.fractions(min_value=-10, max_value=10, max_denominator=9),
+       st.integers(0, 6), st.integers(1, 6),
+       st.fractions(min_value=0, max_value=1, max_denominator=20)
+       .filter(lambda x: 0 < x < 1),
+       st.fractions(min_value=-1, max_value=1, max_denominator=2 ** 12)
+       .filter(lambda c: abs(c) < 1))
+def test_closed_form_matches_linear_system_property(d, a, g2, k, x, c):
+    _assert_matches_linear_system(make_setup(d=d, a=a, genus_g2=g2, degree_k=k, x=x), c)
 
 
 def test_profile_positive_for_positive_a_and_s():
