@@ -8,9 +8,7 @@ written atomically and are byte-identical for identical configurations.
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import render, reproduce
 from .conescan import is_extremal, scan
@@ -20,34 +18,6 @@ from .exactmath import parse_rational
 from .joinsetup import JoinSpec, cone_dim, join_is_smooth, join_vectors, make_setup
 from .profile import compute_profile
 from .twins import find_profile_twins, toric_csc_solutions
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    d: Optional[int] = None
-    a: Optional[Fraction] = None
-    g2: Optional[int] = None
-    k: Optional[int] = None
-    x: Optional[Fraction] = None
-    c: Optional[Fraction] = None
-    grid_n: int = 33
-    boundary_width: Fraction = Fraction(1, 2048)
-    width: Fraction = Fraction(1, 10 ** 6)
-    search_width: Fraction = Fraction(1, 10 ** 6)
-    l1: Optional[int] = None
-    l2: Optional[int] = None
-    order1: int = 1
-    order2: int = 1
-    dim1: Optional[int] = None
-    dim2: Optional[int] = None
-    n: Optional[int] = None
-    lam: Optional[Fraction] = None
-    l: Optional[int] = None
-    out: Optional[str] = None
-    csv: Optional[str] = None
-    svg: Optional[str] = None
-    out_dir: str = "reproduce-out"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,10 +105,8 @@ def build_parser():
     return parser
 
 
-def config_from_args(args):
-    fields = {name: getattr(args, name) for name in RunConfig.__dataclass_fields__
-              if hasattr(args, name)}
-    return RunConfig(**fields)
+# built once: the parser is a constant of the program
+_PARSER = build_parser()
 
 
 def _emit(text, path):
@@ -148,68 +116,68 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _setup_from_config(config):
-    return make_setup(d=config.d, a=config.a, genus_g2=config.g2,
-                      degree_k=config.k, x=config.x)
+def _setup_from_args(args):
+    return make_setup(d=args.d, a=args.a, genus_g2=args.g2,
+                      degree_k=args.k, x=args.x)
 
 
-def _run_profile(config):
-    setup = _setup_from_config(config)
-    prof = compute_profile(setup, config.c)
+def _run_profile(args):
+    setup = _setup_from_args(args)
+    prof = compute_profile(setup, args.c)
     doc = render.profile_document(setup, prof, is_extremal(prof.F),
-                                  csc_condition(setup, config.c))
-    _emit(render.dump_json(doc), config.out)
+                                  csc_condition(setup, args.c))
+    _emit(render.dump_json(doc), args.out)
     return 0
 
 
-def _run_scan(config):
-    setup = _setup_from_config(config)
-    report = scan(setup, grid_n=config.grid_n,
-                  boundary_width=config.boundary_width)
-    _emit(render.dump_json(render.scan_document(report)), config.out)
-    if config.csv:
-        render.write_atomic(config.csv, render.scan_csv(report))
-    if config.svg:
-        render.write_atomic(config.svg, render.scan_svg(report))
+def _run_scan(args):
+    setup = _setup_from_args(args)
+    report = scan(setup, grid_n=args.grid_n,
+                  boundary_width=args.boundary_width)
+    _emit(render.dump_json(render.scan_document(report)), args.out)
+    if args.csv:
+        render.write_atomic(args.csv, render.scan_csv(report))
+    if args.svg:
+        render.write_atomic(args.svg, render.scan_svg(report))
     return 0
 
 
-def _run_csc_roots(config):
-    setup = _setup_from_config(config)
-    roots = csc_roots(setup, config.width)
-    doc = render.roots_document(setup, config.width, roots)
-    _emit(render.dump_json(doc), config.out)
+def _run_csc_roots(args):
+    setup = _setup_from_args(args)
+    roots = csc_roots(setup, args.width)
+    doc = render.roots_document(setup, args.width, roots)
+    _emit(render.dump_json(doc), args.out)
     return 0
 
 
-def _run_twins(config):
-    setup = _setup_from_config(config)
-    report = find_profile_twins(setup, config.c, config.search_width)
-    _emit(render.dump_json(render.twins_document(setup, report)), config.out)
+def _run_twins(args):
+    setup = _setup_from_args(args)
+    report = find_profile_twins(setup, args.c, args.search_width)
+    _emit(render.dump_json(render.twins_document(setup, report)), args.out)
     return 0
 
 
-def _run_toric(config):
-    result = toric_csc_solutions(config.n, config.lam, config.l)
-    doc = render.toric_document(config.n, config.lam, config.l, result)
-    _emit(render.dump_json(doc), config.out)
+def _run_toric(args):
+    result = toric_csc_solutions(args.n, args.lam, args.l)
+    doc = render.toric_document(args.n, args.lam, args.l, result)
+    _emit(render.dump_json(doc), args.out)
     return 0
 
 
-def _run_join(config):
-    spec = JoinSpec(l1=config.l1, l2=config.l2,
-                    order1=config.order1, order2=config.order2)
+def _run_join(args):
+    spec = JoinSpec(l1=args.l1, l2=args.l2,
+                    order1=args.order1, order2=args.order2)
     dims = None
-    if config.dim1 is not None and config.dim2 is not None:
-        dims = (config.dim1, config.dim2, cone_dim(config.dim1, config.dim2))
+    if args.dim1 is not None and args.dim2 is not None:
+        dims = (args.dim1, args.dim2, cone_dim(args.dim1, args.dim2))
     doc = render.join_document(spec, join_is_smooth(spec),
                                join_vectors(spec.l1, spec.l2), dims)
-    _emit(render.dump_json(doc), config.out)
+    _emit(render.dump_json(doc), args.out)
     return 0
 
 
-def _run_reproduce(config):
-    ok, results = reproduce.run(config.out_dir)
+def _run_reproduce(args):
+    ok, results = reproduce.run(args.out_dir)
     for result in results:
         sys.stdout.write(f"{'PASS' if result['ok'] else 'FAIL'}  {result['name']}\n")
     return 0 if ok else 3
@@ -226,21 +194,10 @@ _DISPATCH = {
 }
 
 
-def run(config):
-    handler = _DISPATCH.get(config.command)
-    if handler is None:
-        sys.stderr.write(f"unknown command: {config.command}\n")
-        return 1
-    # configuration-level validation errors (bad setup values) -> exit 1;
-    # failures inside the computation itself -> exit 2
+def run(args):
+    """Dispatch parsed arguments; DomainError exits 1, other failures 2."""
     try:
-        if config.command in ("profile", "scan", "csc-roots", "twins"):
-            _setup_from_config(config)
-    except DomainError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 1
-    try:
-        return handler(config)
+        return _DISPATCH[args.command](args)
     except DomainError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 1
@@ -250,9 +207,7 @@ def run(config):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(config_from_args(args))
+    return run(_PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,23 +1,27 @@
 """The constant-scalar-curvature condition along the c-line and its roots.
 
-The condition is a rational function of c whose denominator is a power of
-(1 - c^2).  For p = 5 the numerator has a frozen closed form (h_poly_p5, up
-to the constant 4/9); for general p it is recovered by exact interpolation
-(condition_numerator) and then fed to the certified root machinery.
+The condition is a rational function of c whose denominator is
+(1 - c^2)^(2p-3).  Its numerator N (condition_numerator) is derived in closed
+form from the Einstein-Hilbert functional H = S^(p-1) / V^(p-2), whose
+critical points are the cscS rays; for p = 5 it has a frozen closed form
+(h_poly_p5, up to the constant 4/9).  The roots of N in (-1, 1) are then
+isolated and identified by the certified root machinery.
 """
 
 from fractions import Fraction
 
-from .errors import DomainError, InconsistentSystem, InterpolationMismatch, WrongWeight
+from .errors import DomainError, InternalInconsistency, WrongWeight
 from .exactmath import (
     RootInterval,
     UniPoly,
+    exact_divide,
     identify_rational_root,
-    solve_exact,
     squarefree_part,
 )
-from .exactmath.roots import _isolate_reduced, _strip_endpoint_roots
+from .exactmath.roots import _isolate_reduced
 from .profile import alpha, beta
+
+_PLUS, _MINUS = UniPoly((1, 1)), UniPoly((1, -1))
 
 
 def csc_condition(setup, c):
@@ -46,60 +50,60 @@ def h_poly_p5(setup):
     ])
 
 
-def _interpolation_nodes(count, scale_den):
-    nodes = []
-    i = 1
-    while len(nodes) < count:
-        cand = Fraction(i, scale_den)
-        nodes.append(cand)
-        nodes.append(-cand)
-        i += 1
-    return nodes[:count]
+def _cleared_moment(q, x, k):
+    """(1-c^2)^k * int_{-1}^{1} (ct+1)^q (1+xt) dt as a polynomial in c.
+
+    With u = ct+1 the integrand is (x u^(q+1) + (c-x) u^q)/c^2 du on
+    [1-c, 1+c]; each power u^(e-1) integrates to ((1+c)^e - (1-c)^e)/e.  The
+    callers keep -k <= q+1 < q+2 < 0, so every e is nonzero and every cleared
+    power (1+-c)^(k+e) is a polynomial.  The removable c^2 is divided out
+    exactly.
+    """
+    total = UniPoly()
+    for coeff, e in ((UniPoly((x,)), q + 2), (UniPoly((-x, 1)), q + 1)):
+        total += coeff * Fraction(1, e) * (_PLUS ** (k + e) * _MINUS ** k
+                                           - _MINUS ** (k + e) * _PLUS ** k)
+    return exact_divide(total, UniPoly((0, 0, 1)))
 
 
-def _interpolate(setup, degree_bound):
-    exponent = 2 * setup.p - 3
-    nodes = _interpolation_nodes(degree_bound + 2 + 3, degree_bound + 3)
-    fit_nodes, check_nodes = nodes[:degree_bound + 2], nodes[degree_bound + 2:]
-
-    def target(c):
-        return csc_condition(setup, c) * (1 - c * c) ** exponent
-
-    rows = [[c ** j for j in range(degree_bound + 1)] for c in fit_nodes]
-    vec = [target(c) for c in fit_nodes]
-    try:
-        coeffs = solve_exact(rows, vec)
-    except InconsistentSystem as exc:
-        raise InterpolationMismatch(
-            f"degree bound {degree_bound} cannot fit the condition numerator; "
-            f"retry with degree_bound={2 * degree_bound}") from exc
-    numerator = UniPoly(coeffs)
-    for c in check_nodes:
-        if numerator(c) != target(c):
-            raise InterpolationMismatch(
-                f"interpolated numerator fails verification at c={c}; degree "
-                f"bound {degree_bound} is too small, retry with "
-                f"degree_bound={2 * degree_bound}")
-    return numerator
-
-
-def condition_numerator(setup, degree_bound=None):
+def condition_numerator(setup):
     """The polynomial N with csc_condition(c) * (1-c^2)^(2p-3) = N(c), exactly.
 
-    Found by interpolation at degree_bound+2 rational nodes and verified at 3
-    more.  With no explicit bound, starts at 2p and doubles up to 8p before
-    giving up with InterpolationMismatch.
+    Derived from the Einstein-Hilbert functional (Boyer-Huang-Legendre-
+    Tonnesen-Friedman, IMRN 2017).  With V = alpha(0, -(p-1)) and
+    S = beta(0, -(p-2)), the identities d/dc alpha(0, q) = q alpha(1, q-1) and
+    alpha(0, q+1) = c alpha(1, q) + alpha(0, q) (the same for beta) give
+        csc_condition = ((p-1) S'V - (p-2) S V') / ((p-1)(p-2)),
+    so cscS rays are the critical points of H = S^(p-1) / V^(p-2).  Let
+    k = p-2, V~ = (1-c^2)^k V and S~ = (1-c^2)^k S, both polynomials; then
+        N = [(1-c^2)((p-1) S~'V~ - (p-2) S~V~') + 2kc S~V~] / ((p-1)(p-2)).
+
+    N never vanishes at c = +-1.  There 1-c^2 = 0, and of the cleared moment
+    terms (1+-c)^(k+e) (1-+c)^k only those with k+e = 0 survive: one term of
+    V~, none of the bulk part of S~.  So V~(+-1) = 2^k (1-+x)/k, the boundary
+    part gives S~(+-1) = 2^k (1-+x), and
+        N(+-1) = +-2 S~(+-1) V~(+-1) / (p-1) = +-K_p (1-+x)^2,
+    K_p = 2^(2p-3)/((p-1)(p-2)).  Hence N has an odd number of roots in
+    (-1, 1), counted with multiplicity.  The result is checked against these
+    endpoint values and deg N <= 2p-5; the degree can fall below 2p-5, since
+    the leading coefficient is affine in (a, s) and vanishes on a line.
     """
-    if degree_bound is not None:
-        return _interpolate(setup, degree_bound)
-    bound = 2 * setup.p
-    while True:
-        try:
-            return _interpolate(setup, bound)
-        except InterpolationMismatch:
-            if bound >= 8 * setup.p:
-                raise
-            bound *= 2
+    p, x = setup.p, setup.x
+    k = p - 2
+    # V and S here are the cleared V~ and S~
+    V = _cleared_moment(-(p - 1), x, k)
+    S = (setup.a * _cleared_moment(-k, x, k)
+         + setup.s * x * _cleared_moment(-k, Fraction(0), k)
+         + _PLUS ** k * (1 - x) + _MINUS ** k * (1 + x))
+    numerator = (UniPoly((1, 0, -1)) * ((p - 1) * S.derivative() * V
+                                        - (p - 2) * S * V.derivative())
+                 + UniPoly((0, 2 * k)) * S * V) / ((p - 1) * (p - 2))
+    K = Fraction(2 ** (2 * p - 3), (p - 1) * (p - 2))
+    if (numerator.degree > 2 * p - 5 or numerator(1) != K * (1 - x) ** 2
+            or numerator(-1) != -K * (1 + x) ** 2):
+        raise InternalInconsistency(
+            f"cscS numerator fails its degree or endpoint check at p={p}")
+    return numerator
 
 
 def csc_roots(setup, width):
@@ -111,13 +115,10 @@ def csc_roots(setup, width):
     width = Fraction(width)
     if width <= 0:
         raise DomainError("width must be positive")
-    numerator = condition_numerator(setup)
-    if not numerator:
-        raise DomainError("cscS condition vanishes identically")
-    # one reduction serves isolation and identification; boundary roots are
-    # not cone rays
+    # one reduction serves isolation and identification; N(+-1) != 0, so
+    # no root sits at the cone boundary
     one = Fraction(1)
-    reduced = _strip_endpoint_roots(squarefree_part(numerator), -one, one)
+    reduced = squarefree_part(condition_numerator(setup))
     out = []
     for interval in _isolate_reduced(reduced, -one, one, width):
         lo, hi = _shrink_into_open_cone(reduced, interval.lo, interval.hi)

@@ -44,8 +44,3 @@ class InternalInconsistency(RuntimeError):
 
 class WrongWeight(ValueError):
     """The operation only applies to a specific weight p."""
-
-
-class InterpolationMismatch(ArithmeticError):
-    """Interpolated polynomial failed its extra-point verification: the degree
-    bound is too small.  Retry with a larger degree_bound (e.g. doubled)."""

@@ -81,11 +81,12 @@ def _apply_ode_operator(F, p, c):
 
 def _compose_affine(poly, scale, shift):
     """poly(scale*u + shift) as a polynomial in u."""
-    arg = UniPoly((shift, scale))
-    acc = UniPoly.constant(0)
+    acc = []
     for coeff in reversed(poly.coeffs):
-        acc = acc * arg + coeff
-    return acc
+        # acc * (shift + scale*u) + coeff, on the coefficient list
+        acc = [shift * lo + scale * hi for lo, hi in zip(acc + [0], [0] + acc)]
+        acc[0] += coeff
+    return UniPoly(acc)
 
 
 def _antiderivative(poly):

@@ -19,11 +19,11 @@ from .exactmath import (
     MultiPoly,
     UniPoly,
     identify_rational_root,
-    isolate_roots,
     poly_gcd,
     squarefree_part,
     sturm_count_roots,
 )
+from .exactmath.roots import _isolate_reduced, _strip_endpoint_roots
 from .profile import compute_profile
 
 
@@ -97,12 +97,14 @@ def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
     if candidate_poly.degree < 1:
         return TwinReport(base_c=base.c, partners=(), shared_F=base.F)
 
-    reduced = squarefree_part(candidate_poly)
+    # one reduction serves isolation and identification; c' = +-1 is not a
+    # cone ray, so its roots go before either step
+    one = Fraction(1)
+    reduced = _strip_endpoint_roots(squarefree_part(candidate_poly), -one, one)
     common_all = reduce(poly_gcd, nontrivial)
     partners = []
     unresolved = []
-    for interval in isolate_roots(candidate_poly, Fraction(-1), Fraction(1),
-                                  search_width):
+    for interval in _isolate_reduced(reduced, -one, one, search_width):
         exact = identify_rational_root(reduced, interval.lo, interval.hi)
         if exact is not None:
             if exact == base.c:

@@ -17,7 +17,7 @@ from sasakijoin import (
     make_setup,
     sturm_count_roots,
 )
-from sasakijoin.errors import DomainError, InterpolationMismatch, WrongWeight
+from sasakijoin.errors import DomainError, WrongWeight
 from support import (
     proportional,
     random_c,
@@ -105,20 +105,45 @@ def test_numerator_matches_h_at_weight_five():
         assert condition_numerator(setup) == F(4, 9) * h_poly_p5(setup)
 
 
+def _assert_clears_denominator(setup, numerator, rng):
+    # both sides are polynomials of degree <= 2p-5 in c, so agreement at 2p-4
+    # distinct points proves the identity
+    p = setup.p
+    nodes = set()
+    while len(nodes) < 2 * p - 4:
+        nodes.add(random_c(rng, max_den=40))
+    for c in nodes:
+        assert (csc_condition(setup, c) * (1 - c * c) ** (2 * p - 3)
+                == numerator(c))
+
+
 def test_numerator_clears_the_exact_denominator():
     rng = random.Random(37)
-    for d in (1, 2):
+    for d in range(1, 7):
         setup = random_setup(rng, d=d)
         numerator = condition_numerator(setup)
-        for _ in range(5):
-            c = random_c(rng)
-            assert (csc_condition(setup, c) * (1 - c * c) ** (2 * setup.p - 3)
-                    == numerator(c))
+        assert numerator.degree <= 2 * setup.p - 5
+        _assert_clears_denominator(setup, numerator, rng)
 
 
-def test_numerator_rejects_too_small_degree_bound():
-    with pytest.raises(InterpolationMismatch):
-        condition_numerator(setup_three_roots(), degree_bound=2)
+# (d, a, g2, k, x, deg N): the leading coefficient of N is affine in (a, s)
+# and vanishes here, so deg N falls below 2p-5
+DEGREE_DROPS = [
+    (1, F(9), 1, 1, F(1, 2), 4),
+    (6, F(7), 1, 1, F(13, 16), 14),
+]
+
+
+@pytest.mark.parametrize("d, a, g2, k, x, degree", DEGREE_DROPS)
+def test_numerator_degree_can_drop(d, a, g2, k, x, degree):
+    setup = make_setup(d=d, a=a, genus_g2=g2, degree_k=k, x=x)
+    numerator = condition_numerator(setup)
+    p = setup.p
+    assert numerator.degree == degree < 2 * p - 5
+    K = F(2 ** (2 * p - 3), (p - 1) * (p - 2))
+    assert numerator(1) == K * (1 - x) ** 2
+    assert numerator(-1) == -K * (1 + x) ** 2
+    _assert_clears_denominator(setup, numerator, random.Random(d))
 
 
 # -- certified roots -------------------------------------------------------------
