@@ -16,7 +16,7 @@ from .cscs import csc_condition, csc_roots
 from .errors import DomainError
 from .exactmath import parse_rational
 from .joinsetup import JoinSpec, cone_dim, join_is_smooth, join_vectors, make_setup
-from .profile import compute_profile
+from .profile import compute_profile, cscS_check
 from .twins import find_profile_twins, toric_csc_solutions
 
 
@@ -125,7 +125,7 @@ def _run_profile(args):
     setup = _setup_from_args(args)
     prof = compute_profile(setup, args.c)
     doc = render.profile_document(setup, prof, is_extremal(prof.F),
-                                  csc_condition(setup, args.c))
+                                  cscS_check(prof), csc_condition(setup, args.c))
     _emit(render.dump_json(doc), args.out)
     return 0
 
@@ -167,8 +167,10 @@ def _run_toric(args):
 def _run_join(args):
     spec = JoinSpec(l1=args.l1, l2=args.l2,
                     order1=args.order1, order2=args.order2)
+    if (args.dim1 is None) != (args.dim2 is None):
+        raise DomainError("--dim1 and --dim2 must be given together")
     dims = None
-    if args.dim1 is not None and args.dim2 is not None:
+    if args.dim1 is not None:
         dims = (args.dim1, args.dim2, cone_dim(args.dim1, args.dim2))
     doc = render.join_document(spec, join_is_smooth(spec),
                                join_vectors(spec.l1, spec.l2), dims)

@@ -9,16 +9,10 @@ isolated and identified by the certified root machinery.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .errors import DomainError, InternalInconsistency, WrongWeight
-from .exactmath import (
-    RootInterval,
-    UniPoly,
-    exact_divide,
-    identify_rational_root,
-    squarefree_part,
-)
-from .exactmath.roots import _isolate_reduced
+from .exactmath import UniPoly, exact_divide, isolate_roots
 from .profile import alpha, beta
 
 _PLUS, _MINUS = UniPoly((1, 1)), UniPoly((1, -1))
@@ -50,19 +44,21 @@ def h_poly_p5(setup):
     ])
 
 
-def _cleared_moment(q, x, k):
+def _cleared_moment(q, x, plus_k, minus_k):
     """(1-c^2)^k * int_{-1}^{1} (ct+1)^q (1+xt) dt as a polynomial in c.
 
-    With u = ct+1 the integrand is (x u^(q+1) + (c-x) u^q)/c^2 du on
-    [1-c, 1+c]; each power u^(e-1) integrates to ((1+c)^e - (1-c)^e)/e.  The
-    callers keep -k <= q+1 < q+2 < 0, so every e is nonzero and every cleared
-    power (1+-c)^(k+e) is a polynomial.  The removable c^2 is divided out
-    exactly.
+    plus_k and minus_k are (1+c)^k and (1-c)^k.  With u = ct+1 the integrand
+    is (x u^(q+1) + (c-x) u^q)/c^2 du on [1-c, 1+c]; each power u^(e-1)
+    integrates to ((1+c)^e - (1-c)^e)/e.  The callers keep
+    -k <= q+1 < q+2 < 0 and q+2 <= 2-k, so every e is nonzero and every
+    cleared power (1+-c)^(k+e) is a polynomial of degree at most 2.  The
+    removable c^2 is divided out exactly.
     """
+    k = plus_k.degree
     total = UniPoly()
     for coeff, e in ((UniPoly((x,)), q + 2), (UniPoly((-x, 1)), q + 1)):
-        total += coeff * Fraction(1, e) * (_PLUS ** (k + e) * _MINUS ** k
-                                           - _MINUS ** (k + e) * _PLUS ** k)
+        total += coeff * Fraction(1, e) * (_PLUS ** (k + e) * minus_k
+                                           - _MINUS ** (k + e) * plus_k)
     return exact_divide(total, UniPoly((0, 0, 1)))
 
 
@@ -90,11 +86,13 @@ def condition_numerator(setup):
     """
     p, x = setup.p, setup.x
     k = p - 2
+    plus_k = UniPoly([comb(k, i) for i in range(k + 1)])
+    minus_k = UniPoly([(-1) ** i * comb(k, i) for i in range(k + 1)])
     # V and S here are the cleared V~ and S~
-    V = _cleared_moment(-(p - 1), x, k)
-    S = (setup.a * _cleared_moment(-k, x, k)
-         + setup.s * x * _cleared_moment(-k, Fraction(0), k)
-         + _PLUS ** k * (1 - x) + _MINUS ** k * (1 + x))
+    V = _cleared_moment(-(p - 1), x, plus_k, minus_k)
+    S = (setup.a * _cleared_moment(-k, x, plus_k, minus_k)
+         + setup.s * x * _cleared_moment(-k, Fraction(0), plus_k, minus_k)
+         + plus_k * (1 - x) + minus_k * (1 + x))
     numerator = (UniPoly((1, 0, -1)) * ((p - 1) * S.derivative() * V
                                         - (p - 2) * S * V.derivative())
                  + UniPoly((0, 2 * k)) * S * V) / ((p - 1) * (p - 2))
@@ -109,41 +107,11 @@ def condition_numerator(setup):
 def csc_roots(setup, width):
     """All roots of the cscS condition in (-1, 1), certified.
 
-    Each root comes back as a RootInterval of width <= width; exact_value
-    holds the root when it is rational, and None proves it irrational.
+    Each root comes back as a RootInterval of width <= width strictly inside
+    (-1, 1); exact_value holds the root when it is rational, and None proves
+    it irrational.
     """
     width = Fraction(width)
     if width <= 0:
         raise DomainError("width must be positive")
-    # one reduction serves isolation and identification; N(+-1) != 0, so
-    # no root sits at the cone boundary
-    one = Fraction(1)
-    reduced = squarefree_part(condition_numerator(setup))
-    out = []
-    for interval in _isolate_reduced(reduced, -one, one, width):
-        lo, hi = _shrink_into_open_cone(reduced, interval.lo, interval.hi)
-        exact = identify_rational_root(reduced, lo, hi)
-        out.append(RootInterval(lo, hi, interval.multiplicity_note,
-                                exact_value=exact))
-    return out
-
-
-def _shrink_into_open_cone(reduced, lo, hi):
-    """Bisect a root bracket until it sits strictly inside (-1, 1).
-
-    Coarse isolation widths can leave a bracket endpoint at the cone boundary
-    even though the root itself is interior; consumers classify rays at the
-    bracket endpoints, so keep those classifiable.
-    """
-    while lo <= -1 or hi >= 1:
-        mid = (lo + hi) / 2
-        v = reduced(mid)
-        if v == 0:
-            # landed on the (rational) root: rebuild a tiny interior bracket
-            off = min(1 - abs(mid), hi - lo) / 4
-            return mid - off, mid + off
-        if (v > 0) == (reduced(lo) > 0):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return isolate_roots(condition_numerator(setup), -1, 1, width)

@@ -10,7 +10,6 @@ from .roots import (
     sturm_count_roots,
     is_positive_on_open,
     isolate_roots,
-    refine_bracket,
     simplest_rational_in,
     identify_rational_root,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "sturm_count_roots",
     "is_positive_on_open",
     "isolate_roots",
-    "refine_bracket",
     "simplest_rational_in",
     "identify_rational_root",
 ]

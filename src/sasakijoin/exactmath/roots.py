@@ -1,9 +1,11 @@
 """Certified real-root machinery: Sturm counting, isolation, identification.
 
-Everything here is exact.  A root is bracketed by a RootInterval certified
-"exact" (a Sturm count over the interval equals 1) or "sign-change" (the
-endpoint signs differ), then pinned to a rational value that exact evaluation
-confirms or proven irrational by the rational root theorem.
+Everything here is exact.  isolate_roots is the one path from a polynomial to
+its certified roots: it takes the squarefree part, divides out roots at the
+interval ends, brackets each remaining root strictly inside the open interval
+by a RootInterval certified "exact" (a Sturm count over the bracket equals 1),
+and pins the root to a rational value that exact evaluation confirms, or
+proves it irrational by the rational root theorem.
 """
 
 from dataclasses import dataclass
@@ -20,9 +22,9 @@ class RootInterval:
     """Open interval (lo, hi) certified to contain exactly one root.
 
     multiplicity_note records the certificate: "exact" (Sturm count = 1) or
-    "sign-change" (opposite signs at the endpoints).  exact_value is filled
-    when the root has been identified as a rational number, bracket kept; after
-    identify_rational_root, exact_value None proves the root irrational.
+    "sign-change" (opposite signs at the endpoints).  exact_value is the root
+    when it is rational; on an interval from isolate_roots, None proves the
+    root irrational.
     """
 
     lo: Fraction
@@ -108,11 +110,14 @@ def is_positive_on_open(p, lo, hi):
 
 
 def isolate_roots(p, lo, hi, width):
-    """Disjoint RootIntervals of width <= width covering all roots in (lo, hi).
+    """Every root of p in the open interval (lo, hi), isolated and identified.
 
-    The polynomial is reduced to its squarefree part first, so each interval
-    holds exactly one (simple) root of that part; certification is by Sturm
-    count, hence multiplicity_note = "exact".  Returned in increasing order.
+    p is reduced to its squarefree part and its roots at lo and hi are divided
+    out.  Each RootInterval then holds exactly one root of that part, certified
+    by a Sturm count of 1 (multiplicity_note "exact"); it is at most width wide
+    and lies strictly inside (lo, hi), so both its ends are points of the open
+    interval.  exact_value holds the root when it is rational, and None proves
+    it irrational.  Returned in increasing order.
     """
     if not p:
         raise ZeroPolynomial("isolation needs a nonzero polynomial")
@@ -122,12 +127,7 @@ def isolate_roots(p, lo, hi, width):
         raise DomainError("width must be positive")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got {lo}, {hi}")
-    return _isolate_reduced(_strip_endpoint_roots(squarefree_part(p), lo, hi),
-                            lo, hi, width)
-
-
-def _isolate_reduced(sf, lo, hi, width):
-    """isolate_roots for a squarefree sf with no root at lo or hi."""
+    sf = _strip_endpoint_roots(squarefree_part(p), lo, hi)
     if sf.degree < 1:
         return []
     chain = _sturm_chain(sf)
@@ -154,36 +154,24 @@ def _isolate_reduced(sf, lo, hi, width):
                 vm = _variations(chain, m)
                 stack.append((m, b, vm, vb, fm))
                 b, vb = m, vm
-        if va - vb == 1:
-            out.append(RootInterval(a, b, "exact"))
+        if va - vb != 1:
+            continue
+        # a bracket of a coarse width can still end at lo or hi
+        while a == lo or b == hi:
+            m = (a + b) / 2
+            fm = sf(m)
+            if fm == 0:
+                # landed on the (rational) root: rebuild a bracket inside
+                off = min(m - lo, hi - m, b - a) / 4
+                a, b = m - off, m + off
+                break
+            if (fm > 0) == (fa > 0):
+                a, fa = m, fm
+            else:
+                b = m
+        out.append(RootInterval(a, b, "exact",
+                                exact_value=identify_rational_root(sf, a, b)))
     return out
-
-
-def refine_bracket(p, lo, hi, width):
-    """Shrink a sign-change bracket of p to the given width by bisection.
-
-    Returns (lo, hi); if a bisection point happens to hit the root exactly the
-    degenerate pair (root, root) is returned.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    s_lo = p(lo)
-    s_hi = p(hi)
-    if s_lo == 0:
-        return lo, lo
-    if s_hi == 0:
-        return hi, hi
-    if (s_lo > 0) == (s_hi > 0):
-        raise DomainError("refine_bracket needs a sign change")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = p(mid)
-        if v == 0:
-            return mid, mid
-        if (v > 0) == (s_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def simplest_rational_in(lo, hi):

@@ -15,8 +15,8 @@ endpoint conditions and the ODE before being returned.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InexactDivision, InternalInconsistency
-from .exactmath import UniPoly, exact_divide, integrate_weighted_monomial, solve_2x2
+from .errors import DomainError, InternalInconsistency
+from .exactmath import UniPoly, integrate_weighted_monomial, solve_2x2
 from .joinsetup import ProductSetup
 
 
@@ -147,30 +147,6 @@ def compute_profile(setup, c):
     if _apply_ode_operator(F, p, c) != rhs:
         raise InternalInconsistency(f"ODE residual nonzero at c={c}")
     return ExtremalProfile(c=c, F=F, A1=A1, A2=A2, p=p)
-
-
-def reconstruct_weighted_scal(profile, setup):
-    """Rebuild the weighted scalar curvature from the profile pieces.
-
-    Assembles (1+xz) * Scal_{f,p} from the three curvature components and
-    divides by (1+xz) exactly; the result is affine and must equal A1 z + A2.
-    """
-    c, F, p, x = profile.c, profile.F, profile.p, setup.x
-    z = UniPoly.variable()
-    f = c * z + 1
-    scal_piece = 2 * setup.a * (1 + x * z) + 2 * setup.s * x - F.derivative().derivative()
-    lap_piece = -c * F.derivative()
-    grad_piece = c * c * F
-    weighted = f * f * scal_piece - 2 * (p - 1) * f * lap_piece - p * (p - 1) * grad_piece
-    try:
-        affine = exact_divide(weighted, 1 + x * z)
-    except InexactDivision as exc:
-        raise InternalInconsistency("weighted scalar curvature not divisible "
-                                    "by the measure factor") from exc
-    if affine != profile.A1 * z + UniPoly.constant(profile.A2):
-        raise InternalInconsistency("reconstructed weighted scalar curvature "
-                                    "disagrees with the solved coefficients")
-    return affine
 
 
 def cscS_check(profile):

@@ -66,7 +66,7 @@ def _document(command):
     }
 
 
-def profile_document(setup, prof, extremal, condition_value):
+def profile_document(setup, prof, extremal, cscS, condition_value):
     doc = _document("profile")
     doc.update({
         "setup": setup_field(setup),
@@ -75,7 +75,7 @@ def profile_document(setup, prof, extremal, condition_value):
         "A1": number_field(prof.A1),
         "A2": number_field(prof.A2),
         "extremal": extremal,
-        "cscS": prof.A1 - prof.c * prof.A2 == 0,
+        "cscS": cscS,
         "csc_condition": number_field(condition_value),
     })
     return doc
@@ -126,12 +126,10 @@ def scan_document(report):
 
 def twins_document(setup, report):
     doc = _document("twins")
-    partners = (report.partners if isinstance(report.partners, str)
-                else [number_field(c) for c in report.partners])
     doc.update({
         "setup": setup_field(setup),
         "base_c": number_field(report.base_c),
-        "partners": partners,
+        "partners": [number_field(c) for c in report.partners],
         "shared_F": poly_field(report.shared_F),
         "unresolved": [root_field(r) for r in report.unresolved],
     })

@@ -35,33 +35,43 @@ from .twins import (
 _Z2 = UniPoly((1, 0, -1))  # 1 - z^2
 
 
-def _setup_no_csc():
+# the worked examples; the test suite builds its setups from these too
+
+
+def setup_no_csc():
+    # weight 5, s = -200, large negative a: no positive ray anywhere
     return make_setup(d=1, a=Fraction(-43137, 1337), genus_g2=101, degree_k=1,
                       x=Fraction(1, 2))
 
 
-def _setup_positive_example():
+def setup_positive_example():
+    # weight 5, s = -2, mildly negative a: positive rays exist
     return make_setup(d=1, a=Fraction(-2675, 497), genus_g2=2, degree_k=1,
                       x=Fraction(1, 2))
 
 
-def _setup_resurrection():
+def setup_resurrection():
+    # weight 6 companion of setup_no_csc: same s and x, shifted a
     a = Fraction(125919069, 1574986) - Fraction(43137, 1337)
     return make_setup(d=2, a=a, genus_g2=101, degree_k=1, x=Fraction(1, 2))
 
 
-def _setup_three_roots():
+def setup_three_roots():
+    # weight 5, s = -20/9, x = 9/10: condition polynomial factors over Q
     return make_setup(d=1, a=Fraction(419, 19), genus_g2=11, degree_k=9,
                       x=Fraction(9, 10))
 
 
-def _setup_moat(x):
+def setup_moat(x):
+    # weight 6 one-parameter family with s = -3 and a tuned so that c = x
+    # solves the constant-curvature condition
     x = Fraction(x)
     a = 3 * (x ** 4 + 7) / ((1 - x ** 2) * (3 - x ** 2))
     return make_setup(d=2, a=a, genus_g2=4, degree_k=2, x=x)
 
 
-def _setup_twin_pair():
+def setup_twin_pair():
+    # weight 5, s = -4, a = 19/3, x = 1/2: two rays share one profile
     return make_setup(d=1, a=Fraction(19, 3), genus_g2=3, degree_k=1,
                       x=Fraction(1, 2))
 
@@ -75,7 +85,7 @@ def _proportional(p, q):
 
 
 def _check_profile_no_csc():
-    setup = _setup_no_csc()
+    setup = setup_no_csc()
     c = Fraction(2, 5)
     expected = _Z2 * UniPoly((5, 2)) * UniPoly((-292, 191, 1820)) / 8022
     ray = classify_ray(setup, c)
@@ -93,7 +103,7 @@ def _check_profile_no_csc():
 
 
 def _check_profile_positive():
-    setup = _setup_positive_example()
+    setup = setup_positive_example()
     c = Fraction(1, 8)
     expected = _Z2 * UniPoly((8, 1)) * UniPoly((326, 142, 29)) / 2982
     ray = classify_ray(setup, c)
@@ -104,7 +114,7 @@ def _check_profile_positive():
 
 
 def _check_profile_higher_weight():
-    setup = _setup_resurrection()
+    setup = setup_resurrection()
     c = Fraction(3, 5)
     expected = (_Z2 * UniPoly((5, 3))
                 * UniPoly((413335, 59909, -297891, -76401)) / 527744)
@@ -119,7 +129,7 @@ def _check_profile_higher_weight():
 
 
 def _check_h_factorization():
-    setup = _setup_three_roots()
+    setup = setup_three_roots()
     expected = Fraction(3, 475) * UniPoly((-9, 10)) * UniPoly((190, 543, -350, -885, 540))
     ok = h_poly_p5(setup) == expected
     roots = csc_roots(setup, Fraction(1, 10 ** 4))
@@ -161,7 +171,7 @@ def _check_moat_family_base():
     ok = True
     for i in range(1, 11):
         x = Fraction(i, 11)
-        setup = _setup_moat(x)
+        setup = setup_moat(x)
         ok = ok and csc_condition(setup, x) == 0
         ok = ok and compute_profile(setup, x).F == _moat_profile_expected(x)
     return {"name": "moat-family-csc-at-x", "ok": bool(ok)}
@@ -169,7 +179,7 @@ def _check_moat_family_base():
 
 def _check_moat_exhausted():
     x = Fraction(8, 10)
-    setup = _setup_moat(x)
+    setup = setup_moat(x)
     ok = setup.a == Fraction(4631, 177)
     report = scan(setup, grid_n=33)
     ok = (ok and len(report.extremal_intervals) == 1 and not report.moats
@@ -181,7 +191,7 @@ def _check_moat_exhausted():
 
 def _check_moat_separated():
     x = Fraction(9, 10)
-    setup = _setup_moat(x)
+    setup = setup_moat(x)
     ok = setup.a == Fraction(76561, 1387)
     report = scan(setup, grid_n=33)
     ok = ok and len(report.extremal_intervals) == 2 and len(report.moats) == 1
@@ -205,7 +215,7 @@ def _check_moat_separated():
 
 
 def _check_twin_pair():
-    setup = _setup_twin_pair()
+    setup = setup_twin_pair()
     c1, c2 = Fraction(1, 2), Fraction(-5, 6)
     x = setup.x
     z = UniPoly.variable()

@@ -15,15 +15,7 @@ from functools import reduce
 from typing import Tuple
 
 from .errors import DomainError, InternalInconsistency
-from .exactmath import (
-    MultiPoly,
-    UniPoly,
-    identify_rational_root,
-    poly_gcd,
-    squarefree_part,
-    sturm_count_roots,
-)
-from .exactmath.roots import _isolate_reduced, _strip_endpoint_roots
+from .exactmath import MultiPoly, UniPoly, isolate_roots, poly_gcd, sturm_count_roots
 from .profile import compute_profile
 
 
@@ -31,14 +23,15 @@ from .profile import compute_profile
 class TwinReport:
     """Partners of base_c sharing its profile polynomial exactly.
 
-    partners is a tuple of rational parameters, or the string "continuum"
-    when the matching system is identically satisfied (verified on samples).
-    unresolved collects isolating intervals of candidates that pass every
-    coefficient equation but are proven irrational.
+    partners is a tuple of rational parameters, in increasing order; the
+    matching system never vanishes identically (see find_profile_twins), so
+    there is no continuum of partners.  unresolved collects isolating
+    intervals of candidates that pass every coefficient equation but are
+    proven irrational.
     """
 
     base_c: Fraction
-    partners: object
+    partners: tuple
     shared_F: UniPoly
     unresolved: tuple = ()
 
@@ -70,42 +63,35 @@ def _twin_equations(setup, F):
 
 
 def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
-    """All c' in (-1, 1) whose profile equals the one at c, certified."""
+    """All c' in (-1, 1) whose profile equals the one at c, certified.
+
+    The matching system never vanishes identically.  If it did, with F the
+    base profile and T0, T1 as in _twin_equations, the z^m coefficients of
+    T0 = F'' - source (m >= 3) would give F_5 = ... = F_p = 0, and the z^3
+    coefficient of T1, 8(4-p) F_4 with p >= 5, would give F_4 = 0.  The
+    endpoint data then force F = (1-z^2)(1+xz), and the divisibility equation
+    of T0 reads x^2 (4 - 2sx) = 0, so s = 2/x > 2 as 0 < x < 1.  But
+    s = 2(1-g2)/k <= 2.  So the candidates are the roots of a nonzero
+    polynomial, isolated and identified in (-1, 1).
+    """
     search_width = Fraction(search_width)
     if search_width <= 0:
         raise DomainError("search_width must be positive")
     base = compute_profile(setup, c)
-    equations = _twin_equations(setup, base.F)
-    nontrivial = [eq for eq in equations if eq]
-
+    nontrivial = [eq for eq in _twin_equations(setup, base.F) if eq]
     if not nontrivial:
-        # identically satisfied: spot-check a spread of parameters before
-        # reporting a continuum
-        samples = [Fraction(sign * j, 13) for j in range(1, 8) for sign in (1, -1)
-                   if Fraction(sign * j, 13) != base.c][:12]
-        for cand in samples:
-            if compute_profile(setup, cand).F != base.F:
-                raise InternalInconsistency(
-                    "matching system vanished identically but profiles differ "
-                    f"at c'={cand}")
-        return TwinReport(base_c=base.c, partners="continuum", shared_F=base.F)
+        raise InternalInconsistency(
+            f"twin matching system vanished identically at c={base.c}")
 
     if len(nontrivial) == 1:
         candidate_poly = nontrivial[0]
     else:
         candidate_poly = poly_gcd(nontrivial[0], nontrivial[1])
-    if candidate_poly.degree < 1:
-        return TwinReport(base_c=base.c, partners=(), shared_F=base.F)
-
-    # one reduction serves isolation and identification; c' = +-1 is not a
-    # cone ray, so its roots go before either step
-    one = Fraction(1)
-    reduced = _strip_endpoint_roots(squarefree_part(candidate_poly), -one, one)
     common_all = reduce(poly_gcd, nontrivial)
     partners = []
     unresolved = []
-    for interval in _isolate_reduced(reduced, -one, one, search_width):
-        exact = identify_rational_root(reduced, interval.lo, interval.hi)
+    for interval in isolate_roots(candidate_poly, -1, 1, search_width):
+        exact = interval.exact_value
         if exact is not None:
             if exact == base.c:
                 continue

@@ -2,48 +2,18 @@
 
 from fractions import Fraction
 
-from sasakijoin import UniPoly, make_setup
+from sasakijoin import UniPoly, exact_divide, make_setup
+# the worked examples are built once, by the reproduction suite
+from sasakijoin.reproduce import (  # noqa: F401
+    setup_moat,
+    setup_no_csc,
+    setup_positive_example,
+    setup_resurrection,
+    setup_three_roots,
+    setup_twin_pair,
+)
 
 ONE_MINUS_Z2 = UniPoly((1, 0, -1))
-
-
-def setup_no_csc():
-    # weight 5, s = -200, large negative a: no positive ray anywhere
-    return make_setup(d=1, a=Fraction(-43137, 1337), genus_g2=101, degree_k=1,
-                      x=Fraction(1, 2))
-
-
-def setup_positive_example():
-    # weight 5, s = -2, mildly negative a: positive rays exist
-    return make_setup(d=1, a=Fraction(-2675, 497), genus_g2=2, degree_k=1,
-                      x=Fraction(1, 2))
-
-
-def setup_resurrection():
-    # weight 6 companion of setup_no_csc: same s and x, shifted a
-    return make_setup(d=2,
-                      a=Fraction(125919069, 1574986) - Fraction(43137, 1337),
-                      genus_g2=101, degree_k=1, x=Fraction(1, 2))
-
-
-def setup_three_roots():
-    # weight 5, s = -20/9, x = 9/10: condition polynomial factors over Q
-    return make_setup(d=1, a=Fraction(419, 19), genus_g2=11, degree_k=9,
-                      x=Fraction(9, 10))
-
-
-def setup_moat(x):
-    # weight 6 one-parameter family with s = -3 and a tuned so that c = x
-    # solves the constant-curvature condition
-    x = Fraction(x)
-    a = 3 * (x ** 4 + 7) / ((1 - x ** 2) * (3 - x ** 2))
-    return make_setup(d=2, a=a, genus_g2=4, degree_k=2, x=x)
-
-
-def setup_twin_pair():
-    # weight 5, s = -4, a = 19/3, x = 1/2: two rays share one profile
-    return make_setup(d=1, a=Fraction(19, 3), genus_g2=3, degree_k=1,
-                      x=Fraction(1, 2))
 
 
 def random_x(rng, max_den=20):
@@ -130,3 +100,19 @@ def proportional(p, q):
         elif ratio != t:
             return False
     return ratio is not None and ratio != 0
+
+
+def reconstruct_weighted_scal(profile, setup):
+    """Rebuild the weighted scalar curvature from the profile pieces.
+
+    Assembles (1+xz) * Scal_{f,p} from the three curvature components and
+    divides by (1+xz) exactly; the result is affine and must equal A1 z + A2.
+    """
+    c, F, p, x = profile.c, profile.F, profile.p, setup.x
+    z = UniPoly.variable()
+    f = c * z + 1
+    scal_piece = 2 * setup.a * (1 + x * z) + 2 * setup.s * x - F.derivative().derivative()
+    lap_piece = -c * F.derivative()
+    grad_piece = c * c * F
+    weighted = f * f * scal_piece - 2 * (p - 1) * f * lap_piece - p * (p - 1) * grad_piece
+    return exact_divide(weighted, 1 + x * z)

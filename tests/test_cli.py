@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,11 @@ NO_CSC_FLAGS = ["--d", "1", "--a", "-43137/1337", "--g2", "101", "--k", "1",
                 "--x", "1/2"]
 MOAT_FLAGS = ["--d", "2", "--a", "76561/1387", "--g2", "4", "--k", "2",
               "--x", "9/10"]
+THREE_ROOTS_FLAGS = ["--d", "1", "--a", "419/19", "--g2", "11", "--k", "9",
+                     "--x", "9/10"]
+TWIN_PAIR_FLAGS = ["--d", "1", "--a", "19/3", "--g2", "3", "--k", "1",
+                   "--x", "1/2"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, args):
@@ -96,6 +102,24 @@ def test_join_command(capsys):
     assert doc["vectors"]["contact"] == [2, 3]
 
 
+@pytest.mark.parametrize("name, args", [
+    # one bracket (0, 1/2) around the exact root 2/5
+    ("csc_roots_no_csc_width_2", ["csc-roots", *NO_CSC_FLAGS, "--width", "2"]),
+    ("csc_roots_three_roots_width_4",
+     ["csc-roots", *THREE_ROOTS_FLAGS, "--width", "4"]),
+    # the cscS root 1/2 is a bisection midpoint: bracket (3/8, 5/8)
+    ("scan_twin_pair_boundary_width_3",
+     ["scan", *TWIN_PAIR_FLAGS, "--grid-n", "8", "--boundary-width", "3"]),
+    ("twins_twin_pair_search_width_5",
+     ["twins", *TWIN_PAIR_FLAGS, "--c", "1/2", "--search-width", "5"]),
+])
+def test_coarse_width_documents_are_golden(capsys, name, args):
+    # brackets wider than the cone still come back inside (-1, 1)
+    code, out, err = run_cli(capsys, args)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_scan_artifacts_are_deterministic(capsys, tmp_path):
     paths = {}
     for tag in ("first", "second"):
@@ -173,6 +197,14 @@ def test_bad_parameter_value_exits_one(capsys):
                                     "--c", "0"])
     assert code == 1
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("dims", [["--dim1", "1"], ["--dim2", "2"]])
+def test_join_half_given_dimension_pair_exits_one(capsys, dims):
+    code, out, err = run_cli(capsys, ["join", "--l1", "2", "--l2", "3", *dims])
+    assert code == 1
+    assert out == ""
+    assert err == "configuration error: --dim1 and --dim2 must be given together\n"
 
 
 def test_out_of_cone_ray_exits_one(capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -26,7 +27,6 @@ from sasakijoin.exactmath import (
     isolate_roots,
     parse_rational,
     poly_gcd,
-    refine_bracket,
     simplest_rational_in,
     solve_2x2,
     solve_exact,
@@ -175,6 +175,7 @@ def test_isolate_factored_quintic():
     assert all(a.hi <= b.lo for a, b in zip(ivs, ivs[1:]))
     hits = [iv for iv in ivs if iv.lo < F(9, 10) < iv.hi]
     assert len(hits) == 1
+    assert hits[0].exact_value == F(9, 10)
     assert identify_rational_root(p, hits[0].lo, hits[0].hi) == F(9, 10)
 
 
@@ -184,13 +185,19 @@ def test_isolate_quartic_negative_roots():
     mids = [iv.midpoint for iv in ivs]
     assert abs(mids[0] + F(601, 1000)) < F(5, 10 ** 4)
     assert abs(mids[1] + F(359, 1000)) < F(5, 10 ** 4)
-    # cross-check against an independent bisection refinement
-    for iv in ivs:
-        rl, rh = refine_bracket(QUARTIC, iv.lo, iv.hi, F(1, 10 ** 10))
-        assert iv.lo <= rl and rh <= iv.hi
-        assert abs(iv.midpoint - (rl + rh) / 2) <= iv.width
+    # cross-check against sympy's independent real-root isolation
+    z = sympy.Symbol("z")
+    quartic = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                          for c in reversed(QUARTIC.coeffs)], z)
+    fine = [(F(int(lo.p), int(lo.q)), F(int(hi.p), int(hi.q)))
+            for (lo, hi), _ in quartic.intervals(eps=sympy.Rational(1, 10 ** 10))]
+    fine = [(lo, hi) for lo, hi in fine if -1 < lo and hi < 0]
+    assert len(fine) == 2
+    for iv, (lo, hi) in zip(ivs, fine):
+        assert iv.lo <= lo and hi <= iv.hi
     # the two roots are irrational, and identification proves it
     for iv in ivs:
+        assert iv.exact_value is None
         assert identify_rational_root(QUARTIC, iv.lo, iv.hi) is None
 
 
@@ -242,14 +249,20 @@ def test_isolate_nudges_split_points_off_roots():
                                               (F(12, 49), F(25, 98))]
 
 
-def test_refine_bracket():
-    lo, hi = refine_bracket(QUARTIC, F(-1), F(-1, 2), F(1, 10 ** 4))
-    assert hi - lo <= F(1, 10 ** 4)
-    assert (QUARTIC(lo) > 0) != (QUARTIC(hi) > 0)
-    # exact hit at a bisection point degenerates to (root, root)
-    assert refine_bracket(UniPoly.variable(), F(-1, 2), F(1, 2), F(1, 8)) == (0, 0)
-    with pytest.raises(DomainError):
-        refine_bracket(UniPoly((1, 0, 1)), -1, 1, F(1, 8))
+def test_isolate_keeps_coarse_brackets_inside_the_interval():
+    # at width 4 the first bracket is all of (-1, 1); bisection moves it off
+    # both ends, and the midpoint 1/2 lands on the root, which rebuilds
+    # (1/2 - 1/8, 1/2 + 1/8)
+    ivs = isolate_roots(UniPoly((-F(1, 2), 1)), -1, 1, 4)
+    assert ivs == [RootInterval(F(3, 8), F(5, 8), "exact", exact_value=F(1, 2))]
+    p = UniPoly((-9, 10)) * QUARTIC
+    for width in (F(4), F(2), F(1)):
+        ivs = isolate_roots(p, -1, 1, width)
+        assert len(ivs) == 3
+        for iv in ivs:
+            assert -1 < iv.lo and iv.hi < 1 and iv.width <= width
+            assert sturm_count_roots(p, iv.lo, iv.hi) == 1
+        assert [iv.exact_value for iv in ivs] == [None, None, F(9, 10)]
 
 
 def test_simplest_rational_examples():
@@ -328,6 +341,7 @@ def test_identify_rational_root_is_complete(case, width):
         counted.calls = 0
         found = identify_rational_root(counted, iv.lo, iv.hi)
         assert found == (root if iv.lo < root < iv.hi else None)
+        assert iv.exact_value == found
         assert counted.calls <= _ceil_log2(grid * iv.width) + 3
 
 

@@ -17,7 +17,6 @@ from sasakijoin import (
     exact_divide,
     is_positive_on_open,
     make_setup,
-    reconstruct_weighted_scal,
     solve_A,
 )
 from sasakijoin.errors import DomainError
@@ -29,6 +28,7 @@ from support import (
     random_c,
     random_setup,
     random_x,
+    reconstruct_weighted_scal,
     setup_no_csc,
     setup_positive_example,
     setup_resurrection,

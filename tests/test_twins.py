@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from sasakijoin import (
     MultiPoly,
@@ -19,7 +20,8 @@ from sasakijoin import (
 )
 from sasakijoin.exactmath import solve_exact
 from sasakijoin.errors import DomainError
-from support import ONE_MINUS_Z2, setup_no_csc, setup_twin_pair
+from sasakijoin.twins import _twin_equations
+from support import ONE_MINUS_Z2, random_setup, setup_no_csc, setup_twin_pair
 
 F = Fraction
 Z = UniPoly.variable()
@@ -51,6 +53,61 @@ def test_twinless_ray_reports_empty():
     rep = find_profile_twins(setup_no_csc(), F(2, 5))
     assert rep.partners == ()
     assert rep.unresolved == ()
+
+
+def _defect_pieces(p, F, a, s, x):
+    """T0, T1, T2 with ODE(F) at c' minus its source = T0 + T1 c' + T2 c'^2."""
+    z, cp = sympy.symbols("z cp")
+    w = cp * z + 1
+    defect = sympy.expand(
+        w ** 2 * F.diff(z, 2) - 2 * (p - 1) * cp * w * F.diff(z)
+        + p * (p - 1) * cp ** 2 * F - w ** 2 * (2 * a * (1 + x * z) + 2 * s * x))
+    return [sympy.Poly(defect.coeff(cp, j), z) for j in range(3)]
+
+
+def _divisibility(piece, x):
+    """x^2 times the value at z = -1/x of the degree-<=2 part of piece."""
+    low = sum(piece.coeff_monomial(piece.gen ** m) * x ** (2 - m) * (-1) ** m
+              for m in range(3))
+    return sympy.expand(low)
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_twin_equations_are_the_ode_defect(p):
+    # sympy expands the ODE defect independently of _twin_equations
+    rng = random.Random(p)
+    setup = random_setup(rng, d=p - 4)
+    F_ = compute_profile(setup, F(rng.randint(-9, 9), 10)).F
+    z = sympy.Symbol("z")
+    F_sym = sum(sympy.Rational(c.numerator, c.denominator) * z ** i
+                for i, c in enumerate(F_.coeffs))
+    a, s, x = (sympy.Rational(v.numerator, v.denominator)
+               for v in (setup.a, setup.s, setup.x))
+    pieces = _defect_pieces(p, F_sym, a, s, x)
+    expected = [[piece.coeff_monomial(z ** m) for piece in pieces]
+                for m in range(p, 2, -1)]
+    expected.append([_divisibility(piece, x) for piece in pieces])
+    got = [[eq.coefficient(j) for j in range(3)] for eq in _twin_equations(setup, F_)]
+    assert got == [[F(int(v.p), int(v.q)) for v in row] for row in expected]
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_twin_matching_system_never_vanishes(p):
+    # the proof in the find_profile_twins docstring, step by step
+    z, a, s, x = sympy.symbols("z a s x")
+    f = sympy.symbols(f"f0:{p + 1}")
+    F_sym = sum(fi * z ** i for i, fi in enumerate(f))
+    t0, t1, _ = _defect_pieces(p, F_sym, a, s, x)
+    assert t1.coeff_monomial(z ** 3) == 8 * (4 - p) * f[4]
+    forced = [t0.coeff_monomial(z ** m) for m in range(3, p + 1)]
+    endpoints = [F_sym.subs(z, 1), F_sym.subs(z, -1),
+                 F_sym.diff(z).subs(z, 1) + 2 * (1 + x),
+                 F_sym.diff(z).subs(z, -1) - 2 * (1 - x)]
+    solutions = sympy.solve(forced + [f[4]] + endpoints, f, dict=True)
+    assert len(solutions) == 1
+    assert sympy.expand(F_sym.subs(solutions[0]) - (1 - z ** 2) * (1 + x * z)) == 0
+    t0_solved = sympy.Poly(t0.as_expr().subs(solutions[0]), z)
+    assert _divisibility(t0_solved, x) == sympy.expand(x ** 2 * (4 - 2 * s * x))
 
 
 def test_find_profile_twins_validation():
