@@ -54,7 +54,6 @@ from .joinsetup import (
     join_vectors,
     make_setup,
     primitive_polarization,
-    setup_from_json,
     stabilizer_order,
 )
 from .profile import (
@@ -116,7 +115,6 @@ __all__ = [
     "join_vectors",
     "make_setup",
     "primitive_polarization",
-    "setup_from_json",
     "stabilizer_order",
     "ExtremalProfile",
     "alpha",

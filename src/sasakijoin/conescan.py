@@ -88,12 +88,10 @@ def slope(c):
     return (1 - c) / (1 + c)
 
 
-def _bisect_transition(setup, lo, hi, lo_extremal, boundary_width, cache):
+def _bisect_transition(setup, lo, hi, lo_extremal, boundary_width):
     while hi - lo > boundary_width:
         mid = (lo + hi) / 2
-        verdict = classify_ray(setup, mid)
-        cache[mid] = verdict
-        if verdict.extremal == lo_extremal:
+        if classify_ray(setup, mid).extremal == lo_extremal:
             lo = mid
         else:
             hi = mid
@@ -109,12 +107,7 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
         raise DomainError("boundary_width must be positive")
 
     grid = [Fraction(-1) + Fraction(2 * i, grid_n + 1) for i in range(1, grid_n + 1)]
-    cache = {}
-    rays = []
-    for c in grid:
-        verdict = classify_ray(setup, c)
-        cache[c] = verdict
-        rays.append(verdict)
+    rays = [classify_ray(setup, c) for c in grid]
 
     # boundary brackets between runs of constant extremality, plus the edges
     borders = [(Fraction(-1), Fraction(-1))]
@@ -122,7 +115,7 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
     for prev, cur in zip(rays, rays[1:]):
         if cur.extremal != prev.extremal:
             borders.append(_bisect_transition(setup, prev.c, cur.c,
-                                              prev.extremal, boundary_width, cache))
+                                              prev.extremal, boundary_width))
             segment_flags.append(cur.extremal)
     borders.append((Fraction(1), Fraction(1)))
 
@@ -132,19 +125,14 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
         region = ConeInterval(left=borders[idx], right=borders[idx + 1])
         (extremal_intervals if flag else moats).append(region)
 
-    def extremal_at(c):
-        if c not in cache:
-            cache[c] = classify_ray(setup, c)
-        return cache[c].extremal
-
     entries = []
     for root in csc_roots(setup, boundary_width):
         if root.exact_value is not None:
-            genuine = extremal_at(root.exact_value)
+            genuine = classify_ray(setup, root.exact_value).extremal
             contested = False
         else:
-            at_lo = extremal_at(root.lo)
-            at_hi = extremal_at(root.hi)
+            at_lo = classify_ray(setup, root.lo).extremal
+            at_hi = classify_ray(setup, root.hi).extremal
             contested = at_lo != at_hi
             genuine = None if contested else at_lo
         entries.append(CscRayEntry(root=root, genuine=genuine, contested=contested))

@@ -78,25 +78,26 @@ def _strip_endpoint_roots(p, lo, hi):
     return p
 
 
-def sturm_count_roots(p, lo, hi, open_interval=True):
-    """Number of distinct real roots of p in (lo, hi) or [lo, hi]."""
+def sturm_count_roots(p, lo, hi):
+    """Number of distinct real roots of p in the open interval (lo, hi).
+
+    One Sturm sequence, built on w, which is p with its roots at lo and hi
+    divided out.  w need not be squarefree: every element of the sequence is
+    a multiple of g = gcd(w, w'), and g does not vanish where w does not, so
+    at such a point the sign variations are those of the sequence divided by
+    g.  lo and hi are such points, so the variation count is the number of
+    distinct roots (Sturm's theorem in its general form).
+    """
     if not p:
         raise ZeroPolynomial("root counting needs a nonzero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise DomainError(f"need lo < hi, got {lo}, {hi}")
-    at_lo = 1 if p(lo) == 0 else 0
-    at_hi = 1 if p(hi) == 0 else 0
-    work = _strip_endpoint_roots(squarefree_part(p), lo, hi)
+    work = _strip_endpoint_roots(p, lo, hi)
     if work.degree < 1:
-        inner = 0
-    else:
-        chain = _sturm_chain(work)
-        # work(hi) != 0, so the classical (lo, hi] count is the open count.
-        inner = _variations(chain, lo) - _variations(chain, hi)
-    if open_interval:
-        return inner
-    return inner + at_lo + at_hi
+        return 0
+    chain = _sturm_chain(work)
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def is_positive_on_open(p, lo, hi):
@@ -104,7 +105,7 @@ def is_positive_on_open(p, lo, hi):
     if not p:
         raise ZeroPolynomial("positivity needs a nonzero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
-    if sturm_count_roots(p, lo, hi, open_interval=True) != 0:
+    if sturm_count_roots(p, lo, hi) != 0:
         return False
     return p((lo + hi) / 2) > 0
 

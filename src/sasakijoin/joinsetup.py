@@ -5,8 +5,7 @@ the profile ODE (ProductSetup), and the integer arithmetic of quotient joins
 (smoothness, cone dimension, distinguished vectors, polarization scaling).
 """
 
-from dataclasses import dataclass
-import json
+from dataclasses import dataclass, field
 import math
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -23,8 +22,10 @@ class ProductSetup:
     a: transverse scalar curvature parameter of the first factor (any rational)
     genus_g2: genus of the Riemann-surface second factor (>= 0)
     degree_k: twisting degree (>= 1)
-    s: scalar curvature of the second factor, 2*(1 - genus_g2)/degree_k
     x: cone coordinate in the open unit interval, 0 < x < 1
+
+    Derived, not passed:
+    s: scalar curvature of the second factor, 2*(1 - genus_g2)/degree_k
     p: fiber polynomial degree, d + 4 (so always >= 5)
     """
 
@@ -32,58 +33,28 @@ class ProductSetup:
     a: Fraction
     genus_g2: int
     degree_k: int
-    s: Fraction
+    s: Fraction = field(init=False)
     x: Fraction
-    p: int
+    p: int = field(init=False)
 
     def __post_init__(self):
+        if not (isinstance(self.degree_k, int) and self.degree_k >= 1):
+            raise DomainError(f"degree must be an integer >= 1, got {self.degree_k!r}")
         if not (isinstance(self.d, int) and self.d >= 1):
             raise DomainError(f"d must be an integer >= 1, got {self.d!r}")
         if not (isinstance(self.genus_g2, int) and self.genus_g2 >= 0):
             raise DomainError(f"genus must be an integer >= 0, got {self.genus_g2!r}")
-        if not (isinstance(self.degree_k, int) and self.degree_k >= 1):
-            raise DomainError(f"degree must be an integer >= 1, got {self.degree_k!r}")
         object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "s", Fraction(self.s))
+        object.__setattr__(self, "s", Fraction(2 * (1 - self.genus_g2), self.degree_k))
         object.__setattr__(self, "x", Fraction(self.x))
-        if self.s != Fraction(2 * (1 - self.genus_g2), self.degree_k):
-            raise DomainError("s inconsistent with genus and degree")
         if not (0 < self.x < 1):
             raise DomainError(f"x must satisfy 0 < x < 1, got {self.x}")
-        if self.p != self.d + 4:
-            raise DomainError("p inconsistent with d")
+        object.__setattr__(self, "p", self.d + 4)
 
 
 def make_setup(d, a, genus_g2, degree_k, x):
-    a = parse_rational(a)
-    x = parse_rational(x)
-    if not (isinstance(degree_k, int) and degree_k >= 1):
-        raise DomainError(f"degree must be an integer >= 1, got {degree_k!r}")
-    s = Fraction(2 * (1 - genus_g2), degree_k)
-    return ProductSetup(d=d, a=a, genus_g2=genus_g2, degree_k=degree_k,
-                        s=s, x=x, p=d + 4)
-
-
-def setup_from_json(text):
-    """Build a ProductSetup from a JSON object string.
-
-    Expected keys: d, a, g2, k, x.  Numbers may be JSON integers or exact
-    "p/q" strings; decimal notation is rejected.
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DomainError("setup JSON must be an object")
-    missing = {"d", "a", "g2", "k", "x"} - set(data)
-    if missing:
-        raise DomainError(f"setup JSON missing keys: {sorted(missing)}")
-    for key in ("d", "g2", "k"):
-        if not isinstance(data[key], int) or isinstance(data[key], bool):
-            raise DomainError(f"key {key!r} must be a JSON integer")
-    return make_setup(d=data["d"], a=data["a"], genus_g2=data["g2"],
-                      degree_k=data["k"], x=data["x"])
+    return ProductSetup(d=d, a=parse_rational(a), genus_g2=genus_g2,
+                        degree_k=degree_k, x=parse_rational(x))
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,10 @@ def solve_A(setup, c):
     p = setup.p
     qa = -(p + 1)
     qb = -(p - 1)
+    alpha1 = alpha(setup, c, 1, qa)
     return solve_2x2(
-        alpha(setup, c, 1, qa), alpha(setup, c, 0, qa),
-        alpha(setup, c, 2, qa), alpha(setup, c, 1, qa),
+        alpha1, alpha(setup, c, 0, qa),
+        alpha(setup, c, 2, qa), alpha1,
         2 * beta(setup, c, 0, qb), 2 * beta(setup, c, 1, qb),
     )
 

@@ -2,9 +2,9 @@
 
 Three settings are covered.  Profile twins on the general family are found by
 coefficient matching: demanding that the base profile F also solves the ODE
-at a different parameter c' leaves a system of quadratics in c', whose
-certified common roots are then confirmed by recomputing the profile.  The
-p = 4 sphere-times-surface case has closed forms.  The toric product case is
+at a different parameter c' leaves a system of quadratics in c', and the
+partners are the rational roots of their gcd.  The p = 4
+sphere-times-surface case has closed forms.  The toric product case is
 checked by exact multivariate polynomial expansion of the weighted scalar
 curvature over the standard simplex.
 """
@@ -15,7 +15,7 @@ from functools import reduce
 from typing import Tuple
 
 from .errors import DomainError, InternalInconsistency
-from .exactmath import MultiPoly, UniPoly, isolate_roots, poly_gcd, sturm_count_roots
+from .exactmath import MultiPoly, UniPoly, isolate_roots, poly_gcd
 from .profile import compute_profile
 
 
@@ -23,11 +23,12 @@ from .profile import compute_profile
 class TwinReport:
     """Partners of base_c sharing its profile polynomial exactly.
 
-    partners is a tuple of rational parameters, in increasing order; the
-    matching system never vanishes identically (see find_profile_twins), so
-    there is no continuum of partners.  unresolved collects isolating
-    intervals of candidates that pass every coefficient equation but are
-    proven irrational.
+    partners is a tuple of rational parameters, in increasing order; by
+    find_profile_twins it holds at most one.  unresolved is always empty:
+    it would hold common roots of the matching system proven irrational, and
+    the gcd of that system is (c' - c) times a polynomial of degree <= 1, so
+    every root is rational.  The field stays in the report and the twins
+    document.
     """
 
     base_c: Fraction
@@ -65,14 +66,33 @@ def _twin_equations(setup, F):
 def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
     """All c' in (-1, 1) whose profile equals the one at c, certified.
 
-    The matching system never vanishes identically.  If it did, with F the
-    base profile and T0, T1 as in _twin_equations, the z^m coefficients of
+    The partners are the roots other than c of g, the gcd of the matching
+    system of _twin_equations, isolated and identified in (-1, 1).
+
+    The system never vanishes identically.  If it did, with F the base
+    profile and T0, T1 as in _twin_equations, the z^m coefficients of
     T0 = F'' - source (m >= 3) would give F_5 = ... = F_p = 0, and the z^3
     coefficient of T1, 8(4-p) F_4 with p >= 5, would give F_4 = 0.  The
     endpoint data then force F = (1-z^2)(1+xz), and the divisibility equation
     of T0 reads x^2 (4 - 2sx) = 0, so s = 2/x > 2 as 0 < x < 1.  But
-    s = 2(1-g2)/k <= 2.  So the candidates are the roots of a nonzero
-    polynomial, isolated and identified in (-1, 1).
+    s = 2(1-g2)/k <= 2.
+
+    A common root c' of the system is a twin.  There the ODE defect of F is
+    a polynomial of degree <= 2 divisible by 1 + xz, so F solves the ODE at
+    c' for some (A1', A2') and meets all four endpoint conditions.  Let H be
+    F minus the profile at c': it solves the ODE with right side
+    -(d1 z + d2)(1 + xz) and zero endpoint data.  The closed form of
+    compute_profile turns H(1) = H'(1) = 0 into
+    [[alpha_1, alpha_0], [alpha_2, alpha_1]] (d1, d2) = 0 with
+    alpha_r = alpha(r, -(p+1)) at c', whose determinant
+    alpha_1^2 - alpha_0 alpha_2 is negative by Cauchy-Schwarz.  So d = 0,
+    and then H = 0 by the uniqueness argument of compute_profile.
+
+    There is at most one partner, and it is rational.  Each equation is a
+    quadratic in c' that vanishes at c' = c, since F is the profile at c; so
+    g = (c' - c) h with deg h <= 1.  g(c) = 0 is the one check of the
+    system against the base profile, and an irrational root of g cannot
+    occur.
     """
     search_width = Fraction(search_width)
     if search_width <= 0:
@@ -82,29 +102,18 @@ def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
     if not nontrivial:
         raise InternalInconsistency(
             f"twin matching system vanished identically at c={base.c}")
-
-    if len(nontrivial) == 1:
-        candidate_poly = nontrivial[0]
-    else:
-        candidate_poly = poly_gcd(nontrivial[0], nontrivial[1])
-    common_all = reduce(poly_gcd, nontrivial)
+    common = reduce(poly_gcd, nontrivial)
+    if common(base.c) != 0:
+        raise InternalInconsistency(
+            f"twin matching system does not vanish at its base ray c={base.c}")
     partners = []
-    unresolved = []
-    for interval in isolate_roots(candidate_poly, -1, 1, search_width):
-        exact = interval.exact_value
-        if exact is not None:
-            if exact == base.c:
-                continue
-            if compute_profile(setup, exact).F == base.F:
-                partners.append(exact)
-        else:
-            if interval.lo < base.c < interval.hi:
-                continue
-            if (common_all.degree >= 1
-                    and sturm_count_roots(common_all, interval.lo, interval.hi) == 1):
-                unresolved.append(interval)
-    return TwinReport(base_c=base.c, partners=tuple(sorted(partners)),
-                      shared_F=base.F, unresolved=tuple(unresolved))
+    for root in isolate_roots(common, -1, 1, search_width):
+        if root.exact_value is None:
+            raise InternalInconsistency(
+                f"twin matching system has an irrational root at c={base.c}")
+        if root.exact_value != base.c:
+            partners.append(root.exact_value)
+    return TwinReport(base_c=base.c, partners=tuple(partners), shared_F=base.F)
 
 
 def cp1_profile(k_scal, c):

@@ -110,7 +110,6 @@ def test_call_evaluates_exactly():
 def test_sturm_examples():
     one_minus_z2 = UniPoly((1, 0, -1))
     assert sturm_count_roots(one_minus_z2, -1, 1) == 0
-    assert sturm_count_roots(one_minus_z2, -1, 1, open_interval=False) == 2
     assert sturm_count_roots(UniPoly((190, 657, 540)), -1, 1) == 2
     assert sturm_count_roots(UniPoly((326, 142, 29)), -1, 1) == 0
 
@@ -139,9 +138,7 @@ def test_sturm_against_known_root_sets(roots, lo, hi):
         p = p * UniPoly((-r, 1))
     distinct = set(roots)
     want_open = sum(1 for r in distinct if lo < r < hi)
-    want_closed = sum(1 for r in distinct if lo <= r <= hi)
     assert sturm_count_roots(p, lo, hi) == want_open
-    assert sturm_count_roots(p, lo, hi, open_interval=False) == want_closed
 
 
 # -- positivity ---------------------------------------------------------------

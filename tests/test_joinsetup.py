@@ -1,6 +1,5 @@
 """Setup data, join smoothness and polarization arithmetic."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -16,7 +15,6 @@ from sasakijoin import (
     join_vectors,
     make_setup,
     primitive_polarization,
-    setup_from_json,
     stabilizer_order,
 )
 from sasakijoin.errors import DomainError
@@ -52,33 +50,15 @@ def test_make_setup_rejects_bad_inputs(kwargs):
         make_setup(**kwargs)
 
 
-def test_product_setup_cross_field_checks():
-    with pytest.raises(DomainError):
-        ProductSetup(d=1, a=F(0), genus_g2=0, degree_k=1, s=F(1), x=F(1, 2), p=5)
-    with pytest.raises(DomainError):
-        ProductSetup(d=1, a=F(0), genus_g2=0, degree_k=1, s=F(2), x=F(1, 2), p=6)
-
-
-def test_setup_from_json():
-    setup = setup_from_json(
-        '{"d": 1, "a": "-43137/1337", "g2": 101, "k": 1, "x": "1/2"}')
-    assert setup.s == -200
-    assert setup.a == F(-43137, 1337)
-    assert setup_from_json('{"d": 1, "a": 3, "g2": 0, "k": 2, "x": "1/3"}').a == 3
-
-
-@pytest.mark.parametrize("text", [
-    '{"d": 1, "a": "0.5", "g2": 0, "k": 1, "x": "1/2"}',
-    '{"d": 1, "a": 1, "g2": 0, "k": 1, "x": 0.5}',
-    '{"d": 1, "a": 1, "g2": 0, "k": 1}',
-    '{"d": 1.0, "a": 1, "g2": 0, "k": 1, "x": "1/2"}',
-    '{"d": true, "a": 1, "g2": 0, "k": 1, "x": "1/2"}',
-    '[1, 2, 3]',
-    'not json',
-])
-def test_setup_from_json_rejections(text):
-    with pytest.raises(DomainError):
-        setup_from_json(text)
+def test_product_setup_derives_s_and_p():
+    setup = ProductSetup(d=2, a=F(3), genus_g2=4, degree_k=2, x=F(9, 10))
+    assert setup.s == -3
+    assert setup.p == 6
+    assert setup == make_setup(d=2, a=3, genus_g2=4, degree_k=2, x="9/10")
+    with pytest.raises(TypeError):
+        ProductSetup(d=1, a=F(0), genus_g2=0, degree_k=1, s=F(2), x=F(1, 2))
+    with pytest.raises(TypeError):
+        ProductSetup(d=1, a=F(0), genus_g2=0, degree_k=1, x=F(1, 2), p=5)
 
 
 # -- join smoothness ----------------------------------------------------------

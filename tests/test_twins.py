@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -14,14 +15,23 @@ from sasakijoin import (
     cp1_profile,
     cp1_twins,
     find_profile_twins,
+    make_setup,
+    poly_gcd,
     toric_csc_solutions,
     toric_weighted_scal,
     twin_weights,
 )
 from sasakijoin.exactmath import solve_exact
-from sasakijoin.errors import DomainError
+from sasakijoin.errors import DomainError, SingularSystem
 from sasakijoin.twins import _twin_equations
-from support import ONE_MINUS_Z2, random_setup, setup_no_csc, setup_twin_pair
+from support import (
+    ONE_MINUS_Z2,
+    random_c,
+    random_setup,
+    random_x,
+    setup_no_csc,
+    setup_twin_pair,
+)
 
 F = Fraction
 Z = UniPoly.variable()
@@ -108,6 +118,60 @@ def test_twin_matching_system_never_vanishes(p):
     assert sympy.expand(F_sym.subs(solutions[0]) - (1 - z ** 2) * (1 + x * z)) == 0
     t0_solved = sympy.Poly(t0.as_expr().subs(solutions[0]), z)
     assert _divisibility(t0_solved, x) == sympy.expand(x ** 2 * (4 - 2 * s * x))
+
+
+def _weight_five_parts(x, c):
+    """F = F0 + a Fa + s Fs at p = 5 (F is affine in (a, s)), at the ray c."""
+    f0 = compute_profile(make_setup(d=1, a=0, genus_g2=1, degree_k=1, x=x), c).F
+    fa = compute_profile(make_setup(d=1, a=1, genus_g2=1, degree_k=1, x=x), c).F
+    fs = compute_profile(make_setup(d=1, a=0, genus_g2=0, degree_k=1, x=x), c).F
+    return f0, fa - f0, (fs - f0) / 2
+
+
+def test_weight_five_twin_sweep():
+    # for random rays c != c' solve the p = 5 matching F(c) = F(c') for (a, s);
+    # every s = -n/m <= 0 is geometric (g2 = 1 + n, k = 2m), and there the
+    # partner must be found and its profile, solved afresh, must be shared
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(200):
+        x, c, c2 = random_x(rng), random_c(rng), random_c(rng)
+        if c == c2:
+            continue
+        here, there = _weight_five_parts(x, c), _weight_five_parts(x, c2)
+        diff = [u - v for u, v in zip(here, there)]
+        rows = [[diff[1].coefficient(i), diff[2].coefficient(i)] for i in range(6)]
+        rhs = [-diff[0].coefficient(i) for i in range(6)]
+        try:
+            a, s = solve_exact(rows, rhs)
+        except SingularSystem:
+            continue
+        if s > 0:
+            continue
+        setup = make_setup(d=1, a=a, genus_g2=1 - s.numerator,
+                           degree_k=2 * s.denominator, x=x)
+        assert setup.s == s
+        rep = find_profile_twins(setup, c)
+        assert rep.partners == (c2,)
+        assert rep.unresolved == ()
+        assert compute_profile(setup, c2).F == rep.shared_F
+        checked += 1
+    assert checked >= 50
+
+
+def test_twin_gcd_has_the_base_ray_as_a_root():
+    # each equation is a quadratic in c' vanishing at c' = c, so the gcd is
+    # (c' - c) times a polynomial of degree <= 1
+    rng = random.Random(8)
+    for p in (5, 6, 7, 8):
+        for _ in range(8):
+            setup = random_setup(rng, d=p - 4)
+            c = random_c(rng)
+            equations = _twin_equations(setup, compute_profile(setup, c).F)
+            assert all(eq.degree <= 2 and eq(c) == 0 for eq in equations)
+            common = reduce(poly_gcd, [eq for eq in equations if eq])
+            assert 1 <= common.degree <= 2
+            assert common(c) == 0
 
 
 def test_find_profile_twins_validation():
