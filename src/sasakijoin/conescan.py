@@ -1,10 +1,13 @@
 """Classification of the c-parametrized subcone: extremal regions and moats.
 
-Grid points are classified exactly; each extremal/non-extremal transition is
-then bisected down to a bracket of width <= boundary_width.  Regions are
-reported with bracket endpoints, since the exact boundary between certified
-sample points is not decided (connectivity between samples is "sampled", not
-proven).
+A scan builds the setup's certified profile table once (profile_table) and
+reads every ray it classifies off the table in integer arithmetic, with no
+per-ray solve: the grid points, the bisection midpoints and the ends of the
+cscS root brackets.  Extremality is then decided exactly by a Sturm count.
+Each extremal/non-extremal transition between grid points is bisected down
+to a bracket of width <= boundary_width.  Regions are reported with bracket
+endpoints, since the exact boundary between certified sample points is not
+decided (connectivity between samples is "sampled", not proven).
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,7 @@ from typing import Optional, Tuple
 from .cscs import csc_roots
 from .errors import DomainError
 from .exactmath import UniPoly, exact_divide, is_positive_on_open
-from .profile import compute_profile, cscS_check
+from .profile import compute_profile, cscS_check, profile_table
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,14 @@ def is_extremal(F):
     return is_positive_on_open(cofactor, Fraction(-1), Fraction(1))
 
 
-def classify_ray(setup, c):
-    """Profile plus the two verdicts for a single ray: extremal and cscS."""
-    prof = compute_profile(setup, c)
+def _classify(prof):
     return RayClassification(c=prof.c, extremal=is_extremal(prof.F),
                              cscS=cscS_check(prof), F=prof.F)
+
+
+def classify_ray(setup, c):
+    """Profile plus the two verdicts for a single ray: extremal and cscS."""
+    return _classify(compute_profile(setup, c))
 
 
 def slope(c):
@@ -88,10 +94,14 @@ def slope(c):
     return (1 - c) / (1 + c)
 
 
-def _bisect_transition(setup, lo, hi, lo_extremal, boundary_width):
+def _is_extremal_at(table, c):
+    return is_extremal(table.profile_at(c).F)
+
+
+def _bisect_transition(table, lo, hi, lo_extremal, boundary_width):
     while hi - lo > boundary_width:
         mid = (lo + hi) / 2
-        if classify_ray(setup, mid).extremal == lo_extremal:
+        if _is_extremal_at(table, mid) == lo_extremal:
             lo = mid
         else:
             hi = mid
@@ -106,15 +116,16 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
     if boundary_width <= 0:
         raise DomainError("boundary_width must be positive")
 
+    table = profile_table(setup)
     grid = [Fraction(-1) + Fraction(2 * i, grid_n + 1) for i in range(1, grid_n + 1)]
-    rays = [classify_ray(setup, c) for c in grid]
+    rays = [_classify(table.profile_at(c)) for c in grid]
 
     # boundary brackets between runs of constant extremality, plus the edges
     borders = [(Fraction(-1), Fraction(-1))]
     segment_flags = [rays[0].extremal]
     for prev, cur in zip(rays, rays[1:]):
         if cur.extremal != prev.extremal:
-            borders.append(_bisect_transition(setup, prev.c, cur.c,
+            borders.append(_bisect_transition(table, prev.c, cur.c,
                                               prev.extremal, boundary_width))
             segment_flags.append(cur.extremal)
     borders.append((Fraction(1), Fraction(1)))
@@ -128,11 +139,11 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
     entries = []
     for root in csc_roots(setup, boundary_width):
         if root.exact_value is not None:
-            genuine = classify_ray(setup, root.exact_value).extremal
+            genuine = _is_extremal_at(table, root.exact_value)
             contested = False
         else:
-            at_lo = classify_ray(setup, root.lo).extremal
-            at_hi = classify_ray(setup, root.hi).extremal
+            at_lo = _is_extremal_at(table, root.lo)
+            at_hi = _is_extremal_at(table, root.hi)
             contested = at_lo != at_hi
             genuine = None if contested else at_lo
         entries.append(CscRayEntry(root=root, genuine=genuine, contested=contested))

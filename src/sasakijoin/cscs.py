@@ -9,13 +9,10 @@ isolated and identified by the certified root machinery.
 """
 
 from fractions import Fraction
-from math import comb
 
 from .errors import DomainError, InternalInconsistency, WrongWeight
-from .exactmath import UniPoly, exact_divide, isolate_roots
-from .profile import alpha, beta
-
-_PLUS, _MINUS = UniPoly((1, 1)), UniPoly((1, -1))
+from .exactmath import UniPoly, isolate_roots
+from .profile import alpha, beta, cleared_beta, cleared_moment
 
 
 def csc_condition(setup, c):
@@ -44,24 +41,6 @@ def h_poly_p5(setup):
     ])
 
 
-def _cleared_moment(q, x, plus_k, minus_k):
-    """(1-c^2)^k * int_{-1}^{1} (ct+1)^q (1+xt) dt as a polynomial in c.
-
-    plus_k and minus_k are (1+c)^k and (1-c)^k.  With u = ct+1 the integrand
-    is (x u^(q+1) + (c-x) u^q)/c^2 du on [1-c, 1+c]; each power u^(e-1)
-    integrates to ((1+c)^e - (1-c)^e)/e.  The callers keep
-    -k <= q+1 < q+2 < 0 and q+2 <= 2-k, so every e is nonzero and every
-    cleared power (1+-c)^(k+e) is a polynomial of degree at most 2.  The
-    removable c^2 is divided out exactly.
-    """
-    k = plus_k.degree
-    total = UniPoly()
-    for coeff, e in ((UniPoly((x,)), q + 2), (UniPoly((-x, 1)), q + 1)):
-        total += coeff * Fraction(1, e) * (_PLUS ** (k + e) * minus_k
-                                           - _MINUS ** (k + e) * plus_k)
-    return exact_divide(total, UniPoly((0, 0, 1)))
-
-
 def condition_numerator(setup):
     """The polynomial N with csc_condition(c) * (1-c^2)^(2p-3) = N(c), exactly.
 
@@ -86,13 +65,9 @@ def condition_numerator(setup):
     """
     p, x = setup.p, setup.x
     k = p - 2
-    plus_k = UniPoly([comb(k, i) for i in range(k + 1)])
-    minus_k = UniPoly([(-1) ** i * comb(k, i) for i in range(k + 1)])
     # V and S here are the cleared V~ and S~
-    V = _cleared_moment(-(p - 1), x, plus_k, minus_k)
-    S = (setup.a * _cleared_moment(-k, x, plus_k, minus_k)
-         + setup.s * x * _cleared_moment(-k, Fraction(0), plus_k, minus_k)
-         + plus_k * (1 - x) + minus_k * (1 + x))
+    V = cleared_moment(0, -(p - 1), x, k)
+    S = cleared_beta(setup, 0, -k, k)
     numerator = (UniPoly((1, 0, -1)) * ((p - 1) * S.derivative() * V
                                         - (p - 2) * S * V.derivative())
                  + UniPoly((0, 2 * k)) * S * V) / ((p - 1) * (p - 2))

@@ -1,7 +1,7 @@
 """Exact arithmetic layer: rationals, polynomials, quadrature, linear solving, roots."""
 
 from .rationals import Rational, parse_rational, format_rational, decimal_str
-from .unipoly import UniPoly, exact_divide, poly_gcd, squarefree_part
+from .unipoly import UniPoly, exact_divide, interpolate, poly_gcd, squarefree_part
 from .multipoly import MultiPoly
 from .linsolve import solve_exact, solve_2x2
 from .integrals import integrate_weighted_monomial
@@ -21,6 +21,7 @@ __all__ = [
     "decimal_str",
     "UniPoly",
     "exact_divide",
+    "interpolate",
     "poly_gcd",
     "squarefree_part",
     "MultiPoly",

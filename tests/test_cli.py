@@ -19,6 +19,9 @@ THREE_ROOTS_FLAGS = ["--d", "1", "--a", "419/19", "--g2", "11", "--k", "9",
                      "--x", "9/10"]
 TWIN_PAIR_FLAGS = ["--d", "1", "--a", "19/3", "--g2", "3", "--k", "1",
                    "--x", "1/2"]
+# p = 7: two transitions and three irrational cscS roots
+P7_THREE_ROOTS_FLAGS = ["--d", "3", "--a", "45", "--g2", "11", "--k", "3",
+                        "--x", "7/9"]
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -112,9 +115,14 @@ def test_join_command(capsys):
      ["scan", *TWIN_PAIR_FLAGS, "--grid-n", "8", "--boundary-width", "3"]),
     ("twins_twin_pair_search_width_5",
      ["twins", *TWIN_PAIR_FLAGS, "--c", "1/2", "--search-width", "5"]),
+    # full scans at the default width, pinning every ray's profile (p = 6, 7)
+    ("scan_moat_grid_16", ["scan", *MOAT_FLAGS, "--grid-n", "16"]),
+    ("scan_three_roots_p7_grid_16",
+     ["scan", *P7_THREE_ROOTS_FLAGS, "--grid-n", "16"]),
 ])
 def test_coarse_width_documents_are_golden(capsys, name, args):
-    # brackets wider than the cone still come back inside (-1, 1)
+    # brackets wider than the cone still come back inside (-1, 1), and full
+    # scans keep every ray's profile and verdict
     code, out, err = run_cli(capsys, args)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{name}.json").read_text()

@@ -17,6 +17,7 @@ from sasakijoin.errors import DomainError
 from support import (
     ONE_MINUS_Z2,
     proportional,
+    random_setup,
     setup_moat,
     setup_no_csc,
     setup_positive_example,
@@ -115,6 +116,18 @@ def test_scan_separated_moat_structure():
     assert rays[0].root.hi < moat.left[0]
     assert moat.left[1] < rays[1].root.lo and rays[1].root.hi < moat.right[0]
     assert moat.right[1] < rays[2].root.lo
+
+
+def test_scan_rays_match_single_ray_classification():
+    # scan reads every ray off one profile table; classify_ray solves each
+    rng = random.Random(67)
+    setups = [setup_three_roots(), setup_moat(F(9, 10))]
+    setups += [random_setup(rng, d=d) for d in (1, 2, 3)]
+    for setup in setups:
+        report = scan(setup, grid_n=8)
+        assert len(report.rays) == 8
+        for ray in report.rays:
+            assert ray == classify_ray(setup, ray.c)
 
 
 def test_scan_refinement_is_monotone():

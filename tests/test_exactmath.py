@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sasakijoin.errors import (
@@ -23,6 +23,7 @@ from sasakijoin.exactmath import (
     format_rational,
     identify_rational_root,
     integrate_weighted_monomial,
+    interpolate,
     is_positive_on_open,
     isolate_roots,
     parse_rational,
@@ -91,6 +92,16 @@ def test_exact_divide_roundtrip(quot, den):
 def test_exact_divide_rejects_remainder():
     with pytest.raises(InexactDivision):
         exact_divide(UniPoly((1, 0, 1)), UniPoly((-1, 1)))
+
+
+@settings(max_examples=30)
+@given(st.lists(polys, min_size=1, max_size=3),
+       st.lists(st.integers(-30, 30), min_size=6, max_size=7, unique=True))
+def test_interpolate_recovers_each_column(columns, numerators):
+    # deg < 6 <= len(nodes), so each column is the unique interpolant
+    nodes = [F(n, 7) for n in numerators]
+    rows = [tuple(poly(t) for poly in columns) for t in nodes]
+    assert interpolate(nodes, rows) == columns
 
 
 def test_poly_gcd_and_squarefree():

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sasakijoin import (
+    ProfileTable,
     UniPoly,
     alpha,
     beta,
@@ -17,10 +18,12 @@ from sasakijoin import (
     exact_divide,
     is_positive_on_open,
     make_setup,
+    profile_table,
     solve_A,
 )
-from sasakijoin.errors import DomainError
+from sasakijoin.errors import DomainError, InternalInconsistency
 from sasakijoin.exactmath import solve_exact
+from sasakijoin.profile import cleared_beta, cleared_moment
 from support import (
     ONE_MINUS_Z2,
     integral_formula_value,
@@ -182,6 +185,90 @@ def test_closed_form_matches_linear_system():
        .filter(lambda c: abs(c) < 1))
 def test_closed_form_matches_linear_system_property(d, a, g2, k, x, c):
     _assert_matches_linear_system(make_setup(d=d, a=a, genus_g2=g2, degree_k=k, x=x), c)
+
+
+# -- the profile table ---------------------------------------------------------
+
+def test_cleared_moments_match_the_integrals():
+    rng = random.Random(47)
+    for p in range(5, 10):
+        setup = random_setup(rng, d=p - 4)
+        cs = (F(0), F(1, 3), F(-5, 7), random_c(rng))
+        # the clearings of the profile table and of the cscS numerator
+        for r, q, k in ((0, -(p + 1), p), (1, -(p + 1), p), (2, -(p + 1), p),
+                        (0, -(p - 1), p - 2)):
+            moment = cleared_moment(r, q, setup.x, k)
+            assert all(moment(c) == (1 - c * c) ** k * alpha(setup, c, r, q)
+                       for c in cs)
+        for r, q, k in ((0, -(p - 1), p), (1, -(p - 1), p), (0, -(p - 2), p - 2)):
+            moment = cleared_beta(setup, r, q, k)
+            assert all(moment(c) == (1 - c * c) ** k * beta(setup, c, r, q)
+                       for c in cs)
+
+
+def _assert_table_matches(table, setup, c):
+    assert table.profile_at(c) == compute_profile(setup, c)
+
+
+def test_table_matches_compute_profile():
+    rng = random.Random(53)
+    near_one = 1 - F(1, 2 ** 30)
+    for p in range(5, 10):
+        setup = random_setup(rng, d=p - 4)
+        table = profile_table(setup)
+        assert table.D.degree == 2 * p - 6
+        for c in (F(0), near_one, -near_one, random_c(rng), random_c(rng, 2 ** 11)):
+            _assert_table_matches(table, setup, c)
+
+
+# a table costs about 2p-5 closed-form solves, so fewer examples than usual
+@settings(max_examples=20)
+@given(st.integers(1, 3),
+       st.fractions(min_value=-10, max_value=10, max_denominator=9),
+       st.integers(0, 6), st.integers(1, 6),
+       st.fractions(min_value=0, max_value=1, max_denominator=20)
+       .filter(lambda x: 0 < x < 1),
+       st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=2 ** 12)
+                .filter(lambda c: abs(c) < 1), min_size=1, max_size=4))
+def test_table_matches_compute_profile_property(d, a, g2, k, x, cs):
+    setup = make_setup(d=d, a=a, genus_g2=g2, degree_k=k, x=x)
+    table = profile_table(setup)
+    for c in cs:
+        _assert_table_matches(table, setup, c)
+
+
+def test_table_affine_coefficients_match_solve_A():
+    rng = random.Random(59)
+    for _ in range(6):
+        setup = random_setup(rng, d=rng.choice((1, 2, 3)))
+        table = profile_table(setup)
+        for _ in range(5):
+            c = random_c(rng)
+            prof = table.profile_at(c)
+            assert (prof.A1, prof.A2) == solve_A(setup, c)
+
+
+def test_table_certificate_rejects_a_changed_coefficient():
+    setup = random_setup(random.Random(61), d=2)
+    table = profile_table(setup)
+    # the untouched data certifies again
+    ProfileTable(setup, table.D, table.P1, table.P2, table.P)
+    for k in range(setup.p + 1):
+        coeffs = list(table.P[k].coeffs)
+        coeffs[k % len(coeffs)] += 1
+        tampered = list(table.P)
+        tampered[k] = UniPoly(coeffs)
+        with pytest.raises(InternalInconsistency):
+            ProfileTable(setup, table.D, table.P1, table.P2, tampered)
+
+
+def test_table_rejects_out_of_range_rotation():
+    table = profile_table(setup_positive_example())
+    for c in (F(1), F(-1), F(3, 2)):
+        with pytest.raises(DomainError):
+            table.profile_at(c)
+    with pytest.raises(DomainError):
+        profile_table("not a setup")
 
 
 def test_profile_positive_for_positive_a_and_s():

@@ -1,0 +1,85 @@
+"""Structure facts behind the profile table, checked with sympy as the kernel.
+
+For each setup the profile is one bivariate table F(z; c) = P(z, c)/D(c),
+with deg_z P = p, deg_c P <= 2p-6 and D of degree 2p-6 without a root in
+[-1, 1].  Here sympy derives the moment polynomials, D and the Cramer
+numerators P1, P2 on its own, and re-checks the ODE and the endpoint
+conditions on the library's table.  That D never vanishes inside the cone is
+proven for every p in the ProfileTable docstring: D(c) is (1-c^2)^(2p-2)
+(alpha1^2 - alpha0 alpha2), negative for |c| < 1 by Cauchy-Schwarz; the root
+count below also covers the endpoints c = +-1.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+
+from sasakijoin import make_setup, profile_table
+
+F = Fraction
+c, u, z = sp.symbols("c u z")
+
+
+def _sym(poly):
+    """A library UniPoly in c as a sympy Poly."""
+    return sp.Poly(sum((sp.Rational(q.numerator, q.denominator) * c ** i
+                        for i, q in enumerate(poly.coeffs)), sp.Integer(0)), c)
+
+
+def _cleared_moment(r, q, x, k):
+    """(1-c^2)^k int_{-1}^{1} t^r (ct+1)^q (1+xt) dt as a sympy Poly in c.
+
+    With u = ct+1 the integrand is u^q (u-1)^r (xu + c - x)/c^(r+2) du.
+    """
+    total = sp.Poly(0, c)
+    for (j,), coeff in sp.Poly(sp.expand((u - 1) ** r * (x * u + c - x)), u).terms():
+        e = q + j + 1
+        total += sp.Poly(coeff * ((1 + c) ** (k + e) * (1 - c) ** k
+                                  - (1 - c) ** (k + e) * (1 + c) ** k) / e, c)
+    return total.exquo(sp.Poly(c ** (r + 2), c))
+
+
+def _cleared_beta(a, s, x, r, p):
+    """(1-c^2)^p beta(r, -(p-1)): bulk, surface and boundary moments."""
+    q = -(p - 1)
+    boundary = sp.Poly((-1) ** r * (1 - x) * (1 - c) ** (p + q) * (1 + c) ** p
+                       + (1 + x) * (1 + c) ** (p + q) * (1 - c) ** p, c)
+    return (_cleared_moment(r, q, x, p) * a + _cleared_moment(r, q, 0, p) * (s * x)
+            + boundary)
+
+
+@pytest.mark.parametrize("p", [5, 6, 7])
+@pytest.mark.parametrize("x", [F(1, 3), F(1, 2), F(9, 10)])
+def test_profile_table_structure(p, x):
+    setup = make_setup(d=p - 4, a=F(7, 3), genus_g2=2, degree_k=3, x=x)
+    table = profile_table(setup)
+    xs, a, s = sp.Rational(x.numerator, x.denominator), sp.Rational(7, 3), sp.Rational(-2, 3)
+    assert setup.s == F(-2, 3)
+
+    m0, m1, m2 = (_cleared_moment(r, -(p + 1), xs, p) for r in range(3))
+    b0, b1 = (_cleared_beta(a, s, xs, r, p) for r in range(2))
+    square = sp.Poly((1 - c ** 2) ** 2, c)
+    D = (m1 ** 2 - m0 * m2).exquo(square)
+    P1 = (2 * (b0 * m1 - m0 * b1)).exquo(square)
+    P2 = (2 * (m1 * b1 - b0 * m2)).exquo(square)
+    assert (_sym(table.D), _sym(table.P1), _sym(table.P2)) == (D, P1, P2)
+    assert D.degree() == 2 * p - 6
+    assert D.count_roots(-1, 1) == 0
+
+    P = sp.Poly(sum(_sym(Pk).as_expr() * z ** k for k, Pk in enumerate(table.P)), z, c)
+    assert P.degree(z) == p
+    assert P.degree(c) <= 2 * p - 6
+
+    def lift(expr):
+        return sp.Poly(expr, z, c)
+
+    w, Pz = lift(c * z + 1), P.diff(z)
+    ode = (w ** 2 * Pz.diff(z) - w * Pz * (2 * (p - 1)) * lift(c)
+           + P * lift(p * (p - 1) * c ** 2)
+           - lift(D.as_expr() * (c * z + 1) ** 2 * (2 * a * (1 + xs * z) + 2 * s * xs))
+           + lift((P1.as_expr() * z + P2.as_expr()) * (1 + xs * z)))
+    assert ode.is_zero
+    assert P.eval(z, 1).is_zero and P.eval(z, -1).is_zero
+    assert Pz.eval(z, 1) == D * (-2 * (1 + xs))
+    assert Pz.eval(z, -1) == D * (2 * (1 - xs))
