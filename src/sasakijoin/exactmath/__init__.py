@@ -1,7 +1,8 @@
 """Exact arithmetic layer: rationals, polynomials, quadrature, linear solving, roots."""
 
 from .rationals import Rational, parse_rational, format_rational, decimal_str
-from .unipoly import UniPoly, exact_divide, interpolate, poly_gcd, squarefree_part
+from .unipoly import UniPoly, exact_divide, poly_gcd, squarefree_part
+from .intpoly import IntPoly
 from .multipoly import MultiPoly
 from .linsolve import solve_exact, solve_2x2
 from .integrals import integrate_weighted_monomial
@@ -20,8 +21,8 @@ __all__ = [
     "format_rational",
     "decimal_str",
     "UniPoly",
+    "IntPoly",
     "exact_divide",
-    "interpolate",
     "poly_gcd",
     "squarefree_part",
     "MultiPoly",

@@ -5,7 +5,6 @@ coefficient is nonzero unless the polynomial is zero (empty tuple).
 """
 
 from fractions import Fraction
-from math import prod
 
 from ..errors import InexactDivision
 
@@ -186,30 +185,3 @@ def squarefree_part(p):
     if g.degree <= 0:
         return p
     return exact_divide(p, g)
-
-
-def interpolate(nodes, rows):
-    """Polynomials of degree < len(nodes) through rows of values at the nodes.
-
-    rows[i] holds the values at nodes[i] of several polynomials; the result
-    lists them, one per column.  Lagrange form over distinct exact nodes: with
-    M(t) = prod (t - t_j), the basis polynomial of node i is M(t)/(t - t_i)
-    over its value at t_i.
-    """
-    nodes = [Fraction(t) for t in nodes]
-    master = [Fraction(1)]
-    for t in nodes:
-        master = [lo - t * hi for lo, hi in zip([Fraction(0)] + master, master + [0])]
-    basis = []
-    for ti in nodes:
-        # synthetic division of M by (t - t_i)
-        quotient = [Fraction(0)] * len(nodes)
-        carry = Fraction(0)
-        for d in range(len(nodes), 0, -1):
-            carry = master[d] + carry * ti
-            quotient[d - 1] = carry
-        weight = prod(ti - tj for tj in nodes if tj != ti)
-        basis.append([q / weight for q in quotient])
-    return [UniPoly(sum(row[k] * b[d] for b, row in zip(basis, rows))
-                    for d in range(len(nodes)))
-            for k in range(len(rows[0]))]

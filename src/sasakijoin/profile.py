@@ -1,32 +1,41 @@
 """Admissible momentum profiles for rays in the 2-dimensional sub-cone.
 
 For a setup with fiber degree p and a ray parameter c in (-1, 1), the profile
-F is the unique degree-p polynomial satisfying
+F is the unique polynomial of degree <= p satisfying
 
     (cz+1)^2 F'' - 2(p-1) c (cz+1) F' + p(p-1) c^2 F
         = (cz+1)^2 (2a(1+xz) + 2sx) - (A1 z + A2)(1 + xz)
 
-with F(+-1) = 0, F'(1) = -2(1+x), F'(-1) = 2(1-x), where (A1, A2) are fixed
-first by two weighted moment conditions.  Two routes give the same profiles:
+with F(+-1) = 0, F'(1) = -2(1+x), F'(-1) = 2(1-x), for some constants
+(A1, A2).
 
-- compute_profile solves one ray: F comes in closed form from integrating the
-  ODE twice, and is checked exactly against the endpoint conditions and the
-  ODE before being returned.
-- profile_table serves every ray of one setup: F(z; c) = P(z, c)/D(c) with
-  (A1, A2) = (P1(c), P2(c))/D(c), where D, P1 and P2 come from the moments
-  cleared of their denominators (cleared_moment, cleared_beta) and P is
-  interpolated in c from closed forms.  The table is certified once, by the
-  ODE and endpoint identities in Q[c][z], and then read at each ray in
-  integer arithmetic.
+Uniqueness.  The difference H of two solutions whose (A1, A2) differ by
+(d1, d2) has zero endpoint data and right side -(d1 z + d2)(1 + xz).  The
+operator maps (cz+1)^(p-1) G to (cz+1)^(p+1) G'', so H = (cz+1)^(p-1) G
+gives G'' = -(d1 z + d2) omega(z) with omega(t) = (1 + xt)/(ct+1)^(p+1),
+and G, G' vanish at +-1.  So G'' integrates to 0 against 1 and t on [-1, 1]:
+(d2, d1) is in the kernel of the Gram matrix of (1, t) for the weight omega,
+which is definite as omega > 0 on (-1, 1).  Thus d = 0, G'' = 0 and
+G = H = 0.  A kernel vector (F_0, F_1, A1, A2) of the endpoint system of
+_endpoint_solve is such an H, so that system is nonsingular for |c| < 1.
+
+One routine, _endpoint_solve, derives F and (A1, A2) in integers from the
+Taylor recursion of the ODE and the endpoint conditions.  compute_profile
+runs it at one ray c = n/m; profile_table runs it once over Z[c], giving
+F(z; c) = P(z, c)/D(c) and (A1, A2) = (P1(c), P2(c))/D(c) for every ray of a
+setup, which the table then reads at each ray in integer arithmetic.
+_certify checks each result exactly against the ODE and the endpoint
+conditions, in Q for a ray and in Q[c] for a table.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from itertools import combinations
+from math import comb, factorial, gcd, lcm
 
 from .errors import DomainError, InternalInconsistency
-from .exactmath import (UniPoly, exact_divide, integrate_weighted_monomial,
-                        interpolate, solve_2x2)
+from .exactmath import (IntPoly, UniPoly, exact_divide, integrate_weighted_monomial,
+                        solve_2x2)
 from .joinsetup import ProductSetup
 
 
@@ -115,7 +124,8 @@ def solve_A(setup, c):
     degenerates for |c| < 1: the weight (ct+1)^(-(p+1)) (1+xt) is positive on
     (-1, 1), so its determinant alpha1^2 - alpha0 alpha2 is negative by
     Cauchy-Schwarz, and solve_2x2's SingularSystem cannot arise here.
-    ProfileTable divides by the cleared determinant D for the same reason.
+    It is the moment route to (A1, A2); compute_profile and profile_table
+    take them from the endpoint system instead (module docstring).
     """
     c = Fraction(c)
     p = setup.p
@@ -129,89 +139,100 @@ def solve_A(setup, c):
     )
 
 
-def _ode_rhs(setup, c, A1, A2):
-    z = UniPoly.variable()
-    w = c * z + 1
-    source = w * w * (2 * setup.a * (1 + setup.x * z) + 2 * setup.s * setup.x)
-    return source - (A1 * z + A2) * (1 + setup.x * z)
+def _certify(setup, c, D, P1, P2, P, what):
+    """Raise InternalInconsistency unless (D, P1, P2, P_0..P_p) meet the ODE
+    and endpoint identities listed under ProfileTable: in Q[c] for a table, or
+    in Q for one ray, with D = 1, (P1, P2) = (A1, A2) and P the coefficients
+    of F."""
+    p, a, s, x = setup.p, setup.a, setup.s, setup.x
+    P = list(P) + [0] * (p + 3 - len(P))
+    c2 = c * c
+    # z-coefficients of (cz+1)^2 (2a(1+xz) + 2sx) and (P1 z + P2)(1 + xz)
+    s0, s1 = 2 * a + 2 * s * x, 2 * a * x
+    source = [s0, s1 + 2 * s0 * c, 2 * s1 * c + s0 * c2, s1 * c2] + [0] * (p - 3)
+    affine = [P2, P1 + x * P2, x * P1] + [0] * (p - 2)
+    for k in range(p + 1):
+        lhs = ((k - p) * (k - p + 1) * c2 * P[k]
+               + 2 * (k + 1) * (k + 1 - p) * c * P[k + 1]
+               + (k + 2) * (k + 1) * P[k + 2])
+        if lhs != D * source[k] - affine[k]:
+            raise InternalInconsistency(f"{what} fails the ODE at z^{k}")
+    values = [sum(sign ** k * Pk for k, Pk in enumerate(P)) for sign in (1, -1)]
+    slopes = [sum(sign ** (k + 1) * k * Pk for k, Pk in enumerate(P))
+              for sign in (1, -1)]
+    if any(values) or slopes != [-2 * (1 + x) * D, 2 * (1 - x) * D]:
+        raise InternalInconsistency(f"{what} fails an endpoint condition")
 
 
-def _apply_ode_operator(F, p, c):
-    z = UniPoly.variable()
-    w = c * z + 1
-    return (w * w * F.derivative().derivative()
-            - 2 * (p - 1) * c * w * F.derivative()
-            + p * (p - 1) * c * c * F)
+def _endpoint_solve(setup, n, m):
+    """The profile at c = n/m from its Taylor recursion, in integers.
 
+    n and m are ints for one ray, or n = c as an IntPoly and m = 1 for every
+    ray of a setup.  The z^k coefficient of the ODE, for F = sum F_k z^k, is
+        (k+2)(k+1) F_(k+2) = r_k - c^2 (k-p)(k-p+1) F_k - 2c (k+1)(k+1-p) F_(k+1)
+    with r_k that of the right side.  With L the lcm of the denominators of
+    2a+2sx, 2ax and x, H_k = m^k k! L F_k obeys, over Z,
+        H_(k+2) = k! m^(k+2) L r_k(n/m) - (k-p)(k-p+1) n^2 H_k - 2(k+1-p) n H_(k+1),
+    so each H_k is an integer linear form in (1, H_0, H_1, A1, A2).  As
+    deg r <= 3 < p-1, the z^(p-1) and z^p equations read 0 = 0: deg F <= p.
 
-def _compose_affine(poly, scale, shift):
-    """poly(scale*u + shift) as a polynomial in u."""
-    acc = []
-    for coeff in reversed(poly.coeffs):
-        # acc * (shift + scale*u) + coeff, on the coefficient list
-        acc = [shift * lo + scale * hi for lo, hi in zip(acc + [0], [0] + acc)]
-        acc[0] += coeff
-    return UniPoly(acc)
-
-
-def _antiderivative(poly):
-    return UniPoly((Fraction(0),) + tuple(
-        Fraction(coeff, i + 1) for i, coeff in enumerate(poly.coeffs)))
-
-
-def _closed_form(setup, c, rhs):
-    """The profile F, by integrating the ODE twice.
-
-    The operator maps (cz+1)^m to c^2 (m-p)(m-p+1) (cz+1)^m, so its kernel is
-    spanned by (cz+1)^p and (cz+1)^(p-1); dividing F by (cz+1)^(p-1) reduces
-    the ODE to a bare second derivative, and the endpoint data at z = -1 give
-        F(z) = (cz+1)^(p-1) [ 2(1-x)(z+1)/(1-c)^(p-1)
-                              + int_{-1}^z Q(t) (z - t) dt ]
-    with Q(t) = rhs(t)/(ct+1)^(p+1).
+    The endpoint conditions times p! m^p L are four integer equations
+    W (1, H_0, H_1, A1, A2) = 0, with kernel v_i = (-1)^i det(W less column i).
+    The five determinants share, by Laplace, the ten 2x2 minors of the value
+    rows and the ten of the slope rows.  v_0 != 0 for |c| < 1 (module
+    docstring).  Returns (v, G, L) with G_k = sum_i v_i H_(k,i), so that
+    A1 = v_3/v_0, A2 = v_4/v_0 and F_k = G_k/(v_0 m^k k! L).
     """
     p, x = setup.p, setup.x
-    z = UniPoly.variable()
-    if c == 0:
-        i1, i2 = _antiderivative(rhs), _antiderivative(z * rhs)
-        return 2 * (1 - x) * (z + 1) + z * (i1 - i1(-1)) - (i2 - i2(-1))
-    # in u = cz+1 the integrand is a Laurent polynomial; deg rhs <= 3 < p-1,
-    # so every power integrates to a power and no log term can occur
-    b = _compose_affine(rhs, 1 / c, -1 / c).coeffs
-    u0, c2 = 1 - c, c * c
-    lam = 2 * (1 - x) / (c * u0 ** (p - 1))
-    k1 = sum(bj * u0 ** (j - p) / (j - p) for j, bj in enumerate(b))
-    k2 = sum(bj * u0 ** (j - p + 1) / (j - p + 1) for j, bj in enumerate(b))
-    g = [bj / ((j - p) * (j - p + 1) * c2) for j, bj in enumerate(b)]
-    g += [Fraction(0)] * (p + 1 - len(g))
-    g[p - 1] += k2 / c2 - lam * u0
-    g[p] += lam - k1 / c2
-    return _compose_affine(UniPoly(g), c, Fraction(1))
+    s0, s1 = 2 * setup.a + 2 * setup.s * x, 2 * setup.a * x
+    L = lcm(s0.denominator, s1.denominator, x.denominator)
+    Ls0, Ls1, Lx = ((L * v).numerator for v in (s0, s1, x))
+    n2, m2, m3 = n * n, m * m, m * m * m
+    # k! m^(k+2) L r_k(n/m) in the basis (1, H_0, H_1, A1, A2), from the
+    # z-coefficients [s0, s1 + 2c s0, 2c s1 + c^2 s0, c^2 s1] of the source
+    # (cz+1)^2 (s0 + s1 z) and [-A2, -A1 - x A2, -x A1] of the affine part
+    source = [(Ls0 * m2, 0, 0, 0, -L * m2),
+              (Ls1 * m3 + 2 * Ls0 * n * m2, 0, 0, -L * m3, -Lx * m3),
+              (4 * Ls1 * n * m3 + 2 * Ls0 * n2 * m2, 0, 0, -2 * Lx * m3 * m, 0),
+              (6 * Ls1 * n2 * m3, 0, 0, 0, 0)] + [(0,) * 5] * (p - 5)
+    H = [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
+    for k, r in enumerate(source):
+        u, w = (k - p) * (k - p + 1) * n2, 2 * (k + 1 - p) * n
+        H.append(tuple(rk - u * hk - w * hk1
+                       for rk, hk, hk1 in zip(r, H[k], H[k + 1])))
+    # p! m^p L times F(1), F(-1), F'(1) and F'(-1), less their targets
+    w = [factorial(p) // factorial(k) * m ** (p - k) for k in range(p + 1)]
+    ends = [[sign ** k * wk for k, wk in enumerate(w)] for sign in (1, -1)]
+    ends += [[sign * k * e for k, e in enumerate(end)] for sign, end in zip((1, -1), ends)]
+    rows = [[sum(e * h[i] for e, h in zip(end, H)) for i in range(5)] for end in ends]
+    rows[2][0] += 2 * (L + Lx) * w[0]
+    rows[3][0] -= 2 * (L - Lx) * w[0]
+    mv, ms = ({(i, j): t[i] * b[j] - t[j] * b[i] for i, j in combinations(range(5), 2)}
+              for t, b in (rows[:2], rows[2:]))
+    v = []
+    for i in range(5):
+        k1, k2, k3, k4 = (j for j in range(5) if j != i)
+        det = (mv[k1, k2] * ms[k3, k4] - mv[k1, k3] * ms[k2, k4]
+               + mv[k1, k4] * ms[k2, k3] + mv[k2, k3] * ms[k1, k4]
+               - mv[k2, k4] * ms[k1, k3] + mv[k3, k4] * ms[k1, k2])
+        v.append(-det if i % 2 else det)
+    return v, [sum(hi * vi for hi, vi in zip(h, v)) for h in H], L
 
 
 def compute_profile(setup, c):
-    """The profile of the ray at parameter c, in closed form and verified.
-
-    The endpoint conditions and the ODE are checked exactly on the result.
-    They determine F uniquely for |c| < 1: the only kernel element
-    (cz+1)^(p-1) (mz + n) vanishing at z = +-1 is zero.
-    """
+    """The profile of the ray at parameter c, by _endpoint_solve, certified
+    exactly against the endpoint conditions and the ODE by _certify."""
     if not isinstance(setup, ProductSetup):
         raise DomainError("compute_profile needs a ProductSetup")
     c = Fraction(c)
     if abs(c) >= 1:
         raise DomainError(f"ray parameter must satisfy |c| < 1, got {c}")
-    p, x = setup.p, setup.x
-    A1, A2 = solve_A(setup, c)
-    rhs = _ode_rhs(setup, c, A1, A2)
-    F = _closed_form(setup, c, rhs)
-
-    dF = F.derivative()
-    if (F(1) != 0 or F(-1) != 0
-            or dF(1) != -2 * (1 + x) or dF(-1) != 2 * (1 - x)):
-        raise InternalInconsistency(f"endpoint conditions violated at c={c}")
-    if _apply_ode_operator(F, p, c) != rhs:
-        raise InternalInconsistency(f"ODE residual nonzero at c={c}")
-    return ExtremalProfile(c=c, F=F, A1=A1, A2=A2, p=p)
+    m = c.denominator
+    v, G, L = _endpoint_solve(setup, c.numerator, m)
+    A1, A2 = Fraction(v[3], v[0]), Fraction(v[4], v[0])
+    F = UniPoly(Fraction(g, v[0] * m ** k * factorial(k) * L) for k, g in enumerate(G))
+    _certify(setup, c, 1, A1, A2, F.coeffs, f"profile at c={c}")
+    return ExtremalProfile(c=c, F=F, A1=A1, A2=A2, p=setup.p)
 
 
 class ProfileTable:
@@ -229,17 +250,11 @@ class ProfileTable:
       - P_z(+-1, c) = -+2(1+-x) D,
     and raises InternalInconsistency if one fails.
 
-    These identities make the table exact at every |c| < 1.  D = (1-c^2)^(2p-2)
-    (alpha1^2 - alpha0 alpha2), with alpha_r = alpha(r, -(p+1)); the weight
-    (ct+1)^(-(p+1)) (1+xt) is positive on (-1, 1), so alpha0 alpha2 > alpha1^2
-    by Cauchy-Schwarz and D(c) < 0.  Dividing the identities at c by D(c),
-    F = P(., c)/D(c) is a polynomial of degree <= p that meets the ODE with
-    (A1, A2) = (P1, P2)/D and all four endpoint conditions.  Those determine
-    F as in compute_profile: the ODE is regular on [-1, 1], so F(-1) and
-    F'(-1) fix F for given (A1, A2), and the conditions at z = 1 fix (A1, A2),
-    since by the closed form a change delta of (A1, A2) moves (F(1), F'(1))
-    through the moment matrix [[alpha1, alpha0], [alpha2, alpha1]], whose
-    determinant is the nonzero D(c)/(1-c^2)^(2p-2).
+    These identities make the table exact at every |c| < 1: profile_table's
+    D is minus the endpoint determinant, nonzero there (module docstring), and
+    divided by D(c) they are the ODE and the endpoint conditions for
+    F = P(., c)/D(c) with (A1, A2) = (P1, P2)/D, which fix F uniquely.  The
+    tests pin D to the moment form (1-c^2)^(2p-2) (alpha1^2 - alpha0 alpha2).
 
     For evaluation every polynomial is scaled by one common integer, so a
     ray c = n/m costs one integer dot product with n^j m^(N-j) per polynomial
@@ -249,39 +264,14 @@ class ProfileTable:
     def __init__(self, setup, D, P1, P2, P):
         self.setup = setup
         self.D, self.P1, self.P2, self.P = D, P1, P2, tuple(P)
-        self._certify()
+        _certify(setup, UniPoly.variable(), D, P1, P2, self.P,
+                 f"profile table for p={setup.p}")
         polys = (D, P1, P2) + self.P
         self._degree = max(poly.degree for poly in polys)
         scale = lcm(*(coeff.denominator for poly in polys for coeff in poly.coeffs))
         rows = [[int(coeff * scale) for coeff in poly.coeffs] for poly in polys]
         content = gcd(*(v for row in rows for v in row))
         self._rows = [[v // content for v in row] for row in rows]
-
-    def _certify(self):
-        setup, D, P1, P2 = self.setup, self.D, self.P1, self.P2
-        p, a, s, x = setup.p, setup.a, setup.s, setup.x
-        zero = UniPoly()
-        P = list(self.P) + [zero, zero]
-        c1, c2 = UniPoly((0, 1)), UniPoly((0, 0, 1))
-        # z-coefficients of (cz+1)^2 (2a(1+xz) + 2sx) and (A1 z + A2)(1 + xz)
-        s0, s1 = 2 * a + 2 * s * x, 2 * a * x
-        source = [UniPoly((s0,)), UniPoly((s1, 2 * s0)), UniPoly((0, 2 * s1, s0)),
-                  UniPoly((0, 0, s1))] + [zero] * (p - 3)
-        affine = [P2, P1 + x * P2, x * P1] + [zero] * (p - 2)
-        for k in range(p + 1):
-            lhs = ((k - p) * (k - p + 1) * c2 * P[k]
-                   + 2 * (k + 1) * (k + 1 - p) * c1 * P[k + 1]
-                   + (k + 2) * (k + 1) * P[k + 2])
-            if lhs != D * source[k] - affine[k]:
-                raise InternalInconsistency(
-                    f"profile table fails the ODE at z^{k} for p={p}")
-        values = [sum((sign ** k * Pk for k, Pk in enumerate(P)), zero)
-                  for sign in (1, -1)]
-        slopes = [sum((sign ** (k + 1) * k * Pk for k, Pk in enumerate(P)), zero)
-                  for sign in (1, -1)]
-        if any(values) or slopes != [-2 * (1 + x) * D, 2 * (1 - x) * D]:
-            raise InternalInconsistency(
-                f"profile table fails an endpoint condition for p={p}")
 
     def profile_at(self, c):
         """The profile of the ray at parameter c, read off the table."""
@@ -300,31 +290,20 @@ class ProfileTable:
 def profile_table(setup):
     """The certified ProfileTable of a setup.
 
-    Let m_r = (1-c^2)^p alpha(r, -(p+1)) and b_r = (1-c^2)^p beta(r, -(p-1)),
-    all polynomials in c.  Cramer on [[m1, m0], [m2, m1]] (A1, A2) = 2 (b0, b1)
-    gives D = (m1^2 - m0 m2)/(1-c^2)^2 of degree 2p-6, P1 = 2(b0 m1 - m0 b1)
-    and P2 = 2(m1 b1 - b0 m2), both over (1-c^2)^2.  P(z, c) = D(c) F(z; c)
-    has degree <= 2p-6 in c on every setup tried (p = 5..9), so it is
-    interpolated from the closed form at the 2p-5 nodes i/(2p), |i| <= p-3.
-    The bound is not proven: a setup that broke it would fail the
-    certificate and raise InternalInconsistency, not get a wrong table.
+    _endpoint_solve runs once over Z[c], with n = c and m = 1.  In the Taylor
+    basis (F_0, F_1, A1, A2), with the endpoint conditions unscaled, the 4x4
+    determinant is -D and the Cramer numerators of A1 and A2 are -P1 and -P2;
+    the solve scales them all by (p!)^4 L^2, divided out here.  P_k = D F_k
+    comes from the same kernel vector, and no degree bound is assumed.
     """
     if not isinstance(setup, ProductSetup):
         raise DomainError("profile_table needs a ProductSetup")
-    p, x = setup.p, setup.x
-    m0, m1, m2 = (cleared_moment(r, -(p + 1), x, p) for r in range(3))
-    b0, b1 = (cleared_beta(setup, r, -(p - 1), p) for r in range(2))
-    square = UniPoly((1, 0, -1)) ** 2
-    D = exact_divide(m1 * m1 - m0 * m2, square)
-    P1 = exact_divide(2 * (b0 * m1 - m0 * b1), square)
-    P2 = exact_divide(2 * (m1 * b1 - b0 * m2), square)
-    nodes = [Fraction(i, 2 * p) for i in range(3 - p, p - 2)]
-    rows = []
-    for c in nodes:
-        d = D(c)
-        F = _closed_form(setup, c, _ode_rhs(setup, c, P1(c) / d, P2(c) / d))
-        rows.append(tuple(d * F.coefficient(k) for k in range(p + 1)))
-    return ProfileTable(setup, D, P1, P2, interpolate(nodes, rows))
+    v, G, L = _endpoint_solve(setup, IntPoly((0, 1)), 1)
+    kappa = -factorial(setup.p) ** 4 * L * L
+    D, P1, P2 = (UniPoly(Fraction(a, kappa) for a in v[i].coeffs) for i in (0, 3, 4))
+    P = [UniPoly(Fraction(a, kappa * factorial(k) * L) for a in g.coeffs)
+         for k, g in enumerate(G)]
+    return ProfileTable(setup, D, P1, P2, P)
 
 
 def cscS_check(profile):

@@ -81,12 +81,12 @@ def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
     a polynomial of degree <= 2 divisible by 1 + xz, so F solves the ODE at
     c' for some (A1', A2') and meets all four endpoint conditions.  Let H be
     F minus the profile at c': it solves the ODE with right side
-    -(d1 z + d2)(1 + xz) and zero endpoint data.  The closed form of
-    compute_profile turns H(1) = H'(1) = 0 into
-    [[alpha_1, alpha_0], [alpha_2, alpha_1]] (d1, d2) = 0 with
-    alpha_r = alpha(r, -(p+1)) at c', whose determinant
-    alpha_1^2 - alpha_0 alpha_2 is negative by Cauchy-Schwarz.  So d = 0,
-    and then H = 0 by the uniqueness argument of compute_profile.
+    -(d1 z + d2)(1 + xz) and zero endpoint data.  With H = (c'z+1)^(p-1) G,
+    G'' = -(d1 z + d2)(1 + xz)/(c'z+1)^(p+1) and G, G' vanish at +-1, so
+    integrating G'' against 1 and t gives the Gram system of (1, t) for the
+    weight (1 + xt)/(c't+1)^(p+1), positive on (-1, 1), applied to
+    (d2, d1).  So d = 0, then G'' = 0 and G = 0: H = 0 (the uniqueness
+    argument of the profile module).
 
     There is at most one partner, and it is rational.  Each equation is a
     quadratic in c' that vanishes at c' = c, since F is the profile at c; so

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from sasakijoin import UniPoly, exact_divide, make_setup
+from sasakijoin.profile import cleared_beta, cleared_moment
 # the worked examples are built once, by the reproduction suite
 from sasakijoin.reproduce import (  # noqa: F401
     setup_moat,
@@ -81,6 +82,22 @@ def integral_formula_value(setup, c, A1, A2, z0):
                 total += b * (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
         integral = total / c ** 2
     return (c * z0 + 1) ** (p - 1) * (head + integral)
+
+
+def cleared_moment_cramer(setup):
+    """(D, P1, P2) of the profile table by Cramer on the cleared moments.
+
+    With m_r = (1-c^2)^p alpha(r, -(p+1)) and b_r = (1-c^2)^p beta(r, -(p-1)),
+    the moment conditions [[m1, m0], [m2, m1]] (A1, A2) = 2 (b0, b1) give
+    D = m1^2 - m0 m2, P1 = 2(b0 m1 - m0 b1) and P2 = 2(m1 b1 - b0 m2), each
+    divided exactly by (1-c^2)^2.
+    """
+    p, x = setup.p, setup.x
+    m0, m1, m2 = (cleared_moment(r, -(p + 1), x, p) for r in range(3))
+    b0, b1 = (cleared_beta(setup, r, -(p - 1), p) for r in range(2))
+    square = UniPoly((1, 0, -1)) ** 2
+    return tuple(exact_divide(num, square) for num in (
+        m1 * m1 - m0 * m2, 2 * (b0 * m1 - m0 * b1), 2 * (m1 * b1 - b0 * m2)))
 
 
 def proportional(p, q):

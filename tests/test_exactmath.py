@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sasakijoin.errors import (
@@ -16,6 +16,7 @@ from sasakijoin.errors import (
     ZeroPolynomial,
 )
 from sasakijoin.exactmath import (
+    IntPoly,
     MultiPoly,
     RootInterval,
     UniPoly,
@@ -23,7 +24,6 @@ from sasakijoin.exactmath import (
     format_rational,
     identify_rational_root,
     integrate_weighted_monomial,
-    interpolate,
     is_positive_on_open,
     isolate_roots,
     parse_rational,
@@ -94,14 +94,20 @@ def test_exact_divide_rejects_remainder():
         exact_divide(UniPoly((1, 0, 1)), UniPoly((-1, 1)))
 
 
-@settings(max_examples=30)
-@given(st.lists(polys, min_size=1, max_size=3),
-       st.lists(st.integers(-30, 30), min_size=6, max_size=7, unique=True))
-def test_interpolate_recovers_each_column(columns, numerators):
-    # deg < 6 <= len(nodes), so each column is the unique interpolant
-    nodes = [F(n, 7) for n in numerators]
-    rows = [tuple(poly(t) for poly in columns) for t in nodes]
-    assert interpolate(nodes, rows) == columns
+int_lists = st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=6)
+
+
+@given(int_lists, int_lists, st.integers(-50, 50))
+@example([], [0, 0, 0], 0)
+@example([3, 0, -2], [], -1)
+def test_intpoly_ring_operations_match_unipoly(a, b, k):
+    pa, pb, ua, ub = IntPoly(a), IntPoly(b), UniPoly(a), UniPoly(b)
+    for got, want in ((pa + pb, ua + ub), (pa - pb, ua - ub), (pa * pb, ua * ub),
+                      (k * pa, k * ua), (pa * k, ua * k), (pa + k, ua + k),
+                      (k - pa, k - ua), (-pa, -ua)):
+        # equal trimmed coefficient tuples: the zero polynomial is ()
+        assert got.coeffs == want.coeffs
+        assert all(type(v) is int for v in got.coeffs)
 
 
 def test_poly_gcd_and_squarefree():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +27,11 @@ from sasakijoin.exactmath import solve_exact
 from sasakijoin.profile import cleared_beta, cleared_moment
 from support import (
     ONE_MINUS_Z2,
+    cleared_moment_cramer,
     integral_formula_value,
     ode_rhs,
     random_c,
+    random_rational,
     random_setup,
     random_x,
     reconstruct_weighted_scal,
@@ -138,10 +141,10 @@ def test_profile_matches_integral_representation():
                 setup, c, prof.A1, prof.A2, z0)
 
 
-# -- closed form against exact elimination -------------------------------------
+# -- endpoint solve against exact elimination ----------------------------------
 
 def _linear_system_profile(setup, c):
-    """(F, A1, A2) by exact elimination, independent of the closed form.
+    """(F, A1, A2) by exact elimination, independent of the endpoint solve.
 
     (A1, A2) solve the two moment conditions; F solves the (p+5) x (p+1)
     system of the p+1 ODE coefficients and the four endpoint conditions.
@@ -167,7 +170,7 @@ def _assert_matches_linear_system(setup, c):
     assert (prof.F, prof.A1, prof.A2) == _linear_system_profile(setup, c)
 
 
-def test_closed_form_matches_linear_system():
+def test_endpoint_solve_matches_linear_system():
     rng = random.Random(43)
     near_one = 1 - F(1, 2 ** 30)
     for d in range(1, 6):
@@ -183,7 +186,7 @@ def test_closed_form_matches_linear_system():
        .filter(lambda x: 0 < x < 1),
        st.fractions(min_value=-1, max_value=1, max_denominator=2 ** 12)
        .filter(lambda c: abs(c) < 1))
-def test_closed_form_matches_linear_system_property(d, a, g2, k, x, c):
+def test_endpoint_solve_matches_linear_system_property(d, a, g2, k, x, c):
     _assert_matches_linear_system(make_setup(d=d, a=a, genus_g2=g2, degree_k=k, x=x), c)
 
 
@@ -194,7 +197,8 @@ def test_cleared_moments_match_the_integrals():
     for p in range(5, 10):
         setup = random_setup(rng, d=p - 4)
         cs = (F(0), F(1, 3), F(-5, 7), random_c(rng))
-        # the clearings of the profile table and of the cscS numerator
+        # the clearings of the table oracle cleared_moment_cramer and of the
+        # cscS numerator
         for r, q, k in ((0, -(p + 1), p), (1, -(p + 1), p), (2, -(p + 1), p),
                         (0, -(p - 1), p - 2)):
             moment = cleared_moment(r, q, setup.x, k)
@@ -221,7 +225,7 @@ def test_table_matches_compute_profile():
             _assert_table_matches(table, setup, c)
 
 
-# a table costs about 2p-5 closed-form solves, so fewer examples than usual
+# each example builds and certifies a table, so fewer examples than usual
 @settings(max_examples=20)
 @given(st.integers(1, 3),
        st.fractions(min_value=-10, max_value=10, max_denominator=9),
@@ -234,6 +238,24 @@ def test_table_matches_compute_profile_property(d, a, g2, k, x, cs):
     setup = make_setup(d=d, a=a, genus_g2=g2, degree_k=k, x=x)
     table = profile_table(setup)
     for c in cs:
+        _assert_table_matches(table, setup, c)
+
+
+@pytest.mark.parametrize("p", range(5, 11))
+@pytest.mark.parametrize("x", [F(1, 3), F(1, 2), F(9, 10)])
+def test_table_matches_cleared_moment_cramer(p, x):
+    rng = random.Random(p)
+    setup = make_setup(d=p - 4, a=random_rational(rng), genus_g2=rng.randint(0, 6),
+                       degree_k=rng.randint(1, 6), x=x)
+    table = profile_table(setup)
+    assert (table.D, table.P1, table.P2) == cleared_moment_cramer(setup)
+
+
+def test_table_at_d10_matches_compute_profile():
+    setup = make_setup(d=10, a=F(7, 3), genus_g2=2, degree_k=3, x=F(2, 7))
+    table = profile_table(setup)  # certified on construction
+    assert setup.p == 14
+    for c in (F(0), F(-3, 7), F(11, 13)):
         _assert_table_matches(table, setup, c)
 
 
@@ -260,6 +282,18 @@ def test_table_certificate_rejects_a_changed_coefficient():
         tampered[k] = UniPoly(coeffs)
         with pytest.raises(InternalInconsistency):
             ProfileTable(setup, table.D, table.P1, table.P2, tampered)
+
+
+def test_table_certificate_rejects_a_kernel_shift():
+    # adding D (cz+1)^(p-1), a kernel element of the ODE operator, keeps the
+    # ODE identities and breaks only the endpoint conditions
+    setup = random_setup(random.Random(71), d=2)
+    table = profile_table(setup)
+    p = setup.p
+    shifted = [Pk + comb(p - 1, k) * UniPoly([0] * k + [1]) * table.D
+               for k, Pk in enumerate(table.P)]
+    with pytest.raises(InternalInconsistency, match="endpoint"):
+        ProfileTable(setup, table.D, table.P1, table.P2, shifted)
 
 
 def test_table_rejects_out_of_range_rotation():

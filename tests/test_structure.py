@@ -5,9 +5,10 @@ with deg_z P = p, deg_c P <= 2p-6 and D of degree 2p-6 without a root in
 [-1, 1].  Here sympy derives the moment polynomials, D and the Cramer
 numerators P1, P2 on its own, and re-checks the ODE and the endpoint
 conditions on the library's table.  That D never vanishes inside the cone is
-proven for every p in the ProfileTable docstring: D(c) is (1-c^2)^(2p-2)
-(alpha1^2 - alpha0 alpha2), negative for |c| < 1 by Cauchy-Schwarz; the root
-count below also covers the endpoints c = +-1.
+proven for every p in the profile module docstring: the table's D is minus
+the endpoint determinant, and a kernel vector of the endpoint system would be
+a nonzero solution with zero data, which its Gram argument rules out.  The
+root count below also covers the endpoints c = +-1.
 """
 
 from fractions import Fraction
