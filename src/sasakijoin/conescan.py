@@ -3,7 +3,8 @@
 A scan builds the setup's certified profile table once (profile_table) and
 reads every ray it classifies off the table in integer arithmetic, with no
 per-ray solve: the grid points, the bisection midpoints and the ends of the
-cscS root brackets.  Extremality is then decided exactly by a Sturm count.
+cscS root brackets.  Extremality is then decided exactly by a Sturm count
+over the integers, on F cleared of its denominators and divided by 1-z^2.
 Each extremal/non-extremal transition between grid points is bisected down
 to a bracket of width <= boundary_width.  Regions are reported with bracket
 endpoints, since the exact boundary between certified sample points is not
@@ -16,7 +17,7 @@ from typing import Optional, Tuple
 
 from .cscs import csc_roots
 from .errors import DomainError
-from .exactmath import UniPoly, exact_divide, is_positive_on_open
+from .exactmath import IntPoly, UniPoly, is_positive_on_open
 from .profile import compute_profile, cscS_check, profile_table
 
 
@@ -67,12 +68,17 @@ class ConeScanReport:
     connectivity: str
 
 
-_ONE_MINUS_Z2 = UniPoly((1, 0, -1))
+_ONE_MINUS_Z2 = IntPoly((1, 0, -1))
 
 
 def is_extremal(F):
-    """True iff the profile F is positive on (-1, 1), i.e. F/(1-z^2) is."""
-    cofactor = exact_divide(F, _ONE_MINUS_Z2)
+    """True iff the profile F is positive on (-1, 1), i.e. F/(1-z^2) is.
+
+    F's denominators are cleared once, by a positive factor, and the division
+    by 1-z^2 is exact over Z (InexactDivision otherwise), so the Sturm test
+    runs on an integer polynomial and makes no Fraction.
+    """
+    cofactor = IntPoly.from_unipoly(F).exact_div(_ONE_MINUS_Z2)
     return is_positive_on_open(cofactor, Fraction(-1), Fraction(1))
 
 

@@ -1,10 +1,18 @@
 """Dense univariate polynomials over the integers.
 
 Coefficients are ints, stored lowest degree first and trimmed as in UniPoly.
-Only the ring operations are here: +, - and x, each of which also takes a
-plain int, so x by an int is int scaling.  Staying in Z skips the gcd that
-every Fraction operation pays; UniPoly(poly.coeffs) converts at the boundary.
+The ring operations +, - and x each also take a plain int, so x by an int is
+int scaling.  On top of them are the operations that remainder sequences and
+sign tests over Z need: derivative, content and primitive part, the
+pseudo-remainder with a positive multiplier, exact division, and homogeneous
+evaluation, whose sign is the sign of the value at a rational point.  Staying
+in Z skips the gcd that every Fraction operation pays; from_unipoly and
+UniPoly(poly.coeffs) convert at the boundary.
 """
+
+from math import gcd, lcm
+
+from ..errors import InexactDivision
 
 
 class IntPoly:
@@ -17,6 +25,21 @@ class IntPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def from_unipoly(cls, p):
+        """The primitive integer multiple of a UniPoly by a positive factor, so
+        its roots and its sign at every point are those of p."""
+        den = lcm(*(c.denominator for c in p.coeffs))
+        return cls(c.numerator * (den // c.denominator) for c in p.coeffs).primitive()
+
+    @property
+    def degree(self):
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def __add__(self, other):
         a, b = self.coeffs, (other,) if isinstance(other, int) else other.coeffs
@@ -46,3 +69,57 @@ class IntPoly:
         return IntPoly(out)
 
     __rmul__ = __mul__
+
+    def derivative(self):
+        return IntPoly([i * u for i, u in enumerate(self.coeffs) if i])
+
+    def primitive(self):
+        """self divided by its content, the positive gcd of its coefficients
+        (the zero polynomial stays)."""
+        g = gcd(*self.coeffs)
+        if g <= 1:
+            return self
+        return IntPoly([u // g for u in self.coeffs])
+
+    def prem(self, other):
+        """Pseudo-remainder r with |lc|^(delta+1) self = q other + r, where lc
+        is other's leading coefficient and delta = deg self - deg other; self
+        itself when deg self < deg other.  The multiplier is positive, so r is
+        a positive multiple of the remainder over Q."""
+        b = other.coeffs if other.coeffs[-1] > 0 else tuple(-v for v in other.coeffs)
+        e, lc = len(b) - 1, b[-1]
+        rem = list(self.coeffs)
+        for top in range(len(rem) - 1, e - 1, -1):
+            f = rem[top]
+            rem = [lc * u for u in rem]
+            for j, v in enumerate(b):
+                rem[top - e + j] -= f * v
+            rem.pop()
+        return IntPoly(rem)
+
+    def exact_div(self, other):
+        """Quotient q with self = q other exactly over Z; InexactDivision
+        otherwise."""
+        b = other.coeffs
+        e, lc = len(b) - 1, b[-1]
+        rem = list(self.coeffs)
+        q = [0] * max(len(rem) - e, 0)
+        for i in range(len(q) - 1, -1, -1):
+            q[i], r = divmod(rem[i + e], lc)
+            if r:
+                break  # rem[i + e] != 0 stays: inexact
+            for j, v in enumerate(b):
+                rem[i + j] -= q[i] * v
+        if any(rem):
+            raise InexactDivision(f"{self.coeffs!r} is not divisible by {b!r} over Z")
+        return IntPoly(q)
+
+    def homogeneous(self, t):
+        """m^deg self(t) for a rational t = n/m in lowest terms, m > 0: an int
+        with the sign of self(t)."""
+        n, m = t.numerator, t.denominator
+        acc, mk = 0, 1
+        for u in reversed(self.coeffs):
+            acc = acc * n + u * mk
+            mk *= m
+        return acc

@@ -6,6 +6,11 @@ interval ends, brackets each remaining root strictly inside the open interval
 by a RootInterval certified "exact" (a Sturm count over the bracket equals 1),
 and pins the root to a rational value that exact evaluation confirms, or
 proves it irrational by the rational root theorem.
+
+Counting, positivity and isolation work on the primitive integer multiple of
+the polynomial (IntPoly): the Sturm sequences are primitive pseudo-remainder
+sequences over Z, and every sign is read by homogeneous integer evaluation
+(sturm_count_roots has the proof that the counts are Sturm's).
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,8 @@ import math
 from typing import Optional
 
 from ..errors import DomainError, ZeroPolynomial
-from .unipoly import UniPoly, exact_divide, squarefree_part
+from .intpoly import IntPoly
+from .unipoly import UniPoly, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -53,47 +59,67 @@ class RootInterval:
 
 def _sturm_chain(p):
     chain = [p, p.derivative()]
-    while chain[-1]:
-        _, r = divmod(chain[-2], chain[-1])
+    while True:
+        r = chain[-2].prem(chain[-1])
         if not r:
-            break
-        chain.append(-r)
-    return [q for q in chain if q]
+            return chain
+        chain.append(-r.primitive())
 
 
 def _variations(chain, t):
-    signs = []
-    for q in chain:
-        v = q(t)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+    signs = [v > 0 for v in (q.homogeneous(t) for q in chain) if v]
+    return sum(1 for s, u in zip(signs, signs[1:]) if s != u)
 
 
 def _strip_endpoint_roots(p, lo, hi):
-    """Divide out roots sitting exactly at lo or hi."""
+    """Divide out roots sitting exactly at lo or hi.
+
+    A root n/m of the integer polynomial p is divided out as the primitive
+    factor m z - n, so the quotient stays in Z[z] (Gauss's lemma) and is a
+    positive multiple of p / (z - n/m).
+    """
     for end in (lo, hi):
-        while p and p(end) == 0:
-            p = exact_divide(p, UniPoly((-end, 1)))
+        while p and p.homogeneous(end) == 0:
+            p = p.exact_div(IntPoly((-end.numerator, end.denominator)))
     return p
+
+
+def _as_intpoly(p):
+    return p if isinstance(p, IntPoly) else IntPoly.from_unipoly(p)
 
 
 def sturm_count_roots(p, lo, hi):
     """Number of distinct real roots of p in the open interval (lo, hi).
 
-    One Sturm sequence, built on w, which is p with its roots at lo and hi
+    p is a UniPoly or an IntPoly; a UniPoly is replaced once by its primitive
+    integer multiple with a positive factor, which has the same roots.  One
+    Sturm sequence is built on w, that polynomial with its roots at lo and hi
     divided out.  w need not be squarefree: every element of the sequence is
     a multiple of g = gcd(w, w'), and g does not vanish where w does not, so
     at such a point the sign variations are those of the sequence divided by
     g.  lo and hi are such points, so the variation count is the number of
     distinct roots (Sturm's theorem in its general form).
+
+    The sequence is computed over Z.  The classical one is s_0 = w, s_1 = w'
+    and s_(i+1) = -rem(s_(i-1), s_i) over Q; here t_0 = w, t_1 = w' and
+    t_(i+1) = -pp(prem(t_(i-1), t_i)), with prem the pseudo-remainder by the
+    positive multiplier |lc(t_i)|^(delta+1) and pp the division by the
+    positive content.  Each t_i is a positive multiple of s_i, by induction:
+    if t_(i-1) = a s_(i-1) and t_i = b s_i with a, b > 0, then
+    rem(t_(i-1), t_i) = a rem(s_(i-1), s_i) = -a s_(i+1), since scaling the
+    divisor does not change a remainder, so prem(t_(i-1), t_i) is a positive
+    multiple of -s_(i+1) and t_(i+1) one of s_(i+1).  Both sequences thus
+    stop at the same length and have the same signs at every point, and every
+    variation count is the classical one.  Dividing out the content keeps the
+    coefficients polynomial in size (the primitive PRS of Collins and
+    Brown-Traub); the signs are read by homogeneous evaluation, in integers.
     """
     if not p:
         raise ZeroPolynomial("root counting needs a nonzero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise DomainError(f"need lo < hi, got {lo}, {hi}")
-    work = _strip_endpoint_roots(p, lo, hi)
+    work = _strip_endpoint_roots(_as_intpoly(p), lo, hi)
     if work.degree < 1:
         return 0
     chain = _sturm_chain(work)
@@ -101,13 +127,19 @@ def sturm_count_roots(p, lo, hi):
 
 
 def is_positive_on_open(p, lo, hi):
-    """True iff p > 0 everywhere on the open interval (lo, hi)."""
+    """True iff p > 0 everywhere on the open interval (lo, hi).
+
+    p is a UniPoly or an IntPoly.  A UniPoly is converted once, by a positive
+    factor, and the Sturm count and the sign at the midpoint are both read on
+    the integer polynomial.
+    """
     if not p:
         raise ZeroPolynomial("positivity needs a nonzero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
+    p = _as_intpoly(p)
     if sturm_count_roots(p, lo, hi) != 0:
         return False
-    return p((lo + hi) / 2) > 0
+    return p.homogeneous((lo + hi) / 2) > 0
 
 
 def isolate_roots(p, lo, hi, width):
@@ -119,6 +151,11 @@ def isolate_roots(p, lo, hi, width):
     and lies strictly inside (lo, hi), so both its ends are points of the open
     interval.  exact_value holds the root when it is rational, and None proves
     it irrational.  Returned in increasing order.
+
+    The reduced part is converted once to its primitive integer multiple with
+    a positive factor, and every sign test (Sturm variations, bisection, the
+    nudge off a root) reads it in integers; identify_rational_root gets the
+    same polynomial as a UniPoly.
     """
     if not p:
         raise ZeroPolynomial("isolation needs a nonzero polynomial")
@@ -128,23 +165,26 @@ def isolate_roots(p, lo, hi, width):
         raise DomainError("width must be positive")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got {lo}, {hi}")
-    sf = _strip_endpoint_roots(squarefree_part(p), lo, hi)
+    sf = _strip_endpoint_roots(IntPoly.from_unipoly(squarefree_part(p)), lo, hi)
     if sf.degree < 1:
         return []
     chain = _sturm_chain(sf)
+    sf_rational = UniPoly(sf.coeffs)
     out = []
-    # (a, b, Sturm variations at a and b, sf(a)); the left half is refined
-    # first and the right one waits on the stack, so roots come out in order
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi), sf(lo))]
+    # (a, b, Sturm variations at a and b, sf(a) scaled); the left half is
+    # refined first and the right one waits on the stack, so roots come out
+    # in order
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi),
+              sf.homogeneous(lo))]
     while stack:
         a, b, va, vb, fa = stack.pop()
         while va - vb > 1 or (va - vb == 1 and b - a > width):
             m, k = (a + b) / 2, 3
-            fm = sf(m)
+            fm = sf.homogeneous(m)
             while fm == 0:
                 # nudge the split point off a root; offsets k/(2k+1) are all distinct
                 m, k = a + (b - a) * Fraction(k, 2 * k + 1), k + 1
-                fm = sf(m)
+                fm = sf.homogeneous(m)
             if va - vb == 1:
                 # one simple root, and sf(a) != 0: the sign of sf(m) decides
                 if (fm > 0) == (fa > 0):
@@ -160,7 +200,7 @@ def isolate_roots(p, lo, hi, width):
         # a bracket of a coarse width can still end at lo or hi
         while a == lo or b == hi:
             m = (a + b) / 2
-            fm = sf(m)
+            fm = sf.homogeneous(m)
             if fm == 0:
                 # landed on the (rational) root: rebuild a bracket inside
                 off = min(m - lo, hi - m, b - a) / 4
@@ -171,7 +211,7 @@ def isolate_roots(p, lo, hi, width):
             else:
                 b = m
         out.append(RootInterval(a, b, "exact",
-                                exact_value=identify_rational_root(sf, a, b)))
+                                exact_value=identify_rational_root(sf_rational, a, b)))
     return out
 
 
@@ -207,9 +247,7 @@ def identify_rational_root(p, lo, hi):
         return lo if v_lo == 0 else hi
     if (v_lo > 0) == (v_hi > 0):
         return None
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    content = math.gcd(*(c.numerator * (den // c.denominator) for c in p.coeffs))
-    grid = abs(p.leading.numerator) * (den // p.leading.denominator) // content
+    grid = abs(IntPoly.from_unipoly(p).coeffs[-1])
     positive_left = v_lo > 0
     while (hi - lo) * grid > 1:
         mid = (lo + hi) / 2

@@ -7,6 +7,7 @@ coefficient is nonzero unless the polynomial is zero (empty tuple).
 from fractions import Fraction
 
 from ..errors import InexactDivision
+from .intpoly import IntPoly
 
 
 class UniPoly:
@@ -171,12 +172,18 @@ def exact_divide(num, den):
 
 
 def poly_gcd(a, b):
-    """Monic gcd via the Euclidean algorithm."""
+    """Monic gcd, by the primitive pseudo-remainder sequence over Z.
+
+    a and b are replaced by their primitive integer multiples; each step
+    takes the pseudo-remainder and divides it by its content, so every term
+    is a nonzero multiple of the Euclidean one and the last nonzero term is
+    a multiple of the gcd over Q, made monic here.
+    """
+    a, b = IntPoly.from_unipoly(a), IntPoly.from_unipoly(b)
     while b:
-        a, b = b, divmod(a, b)[1]
-    if a:
-        a = a / a.leading
-    return a
+        a, b = b, a.prem(b).primitive()
+    lc = a.coeffs[-1] if a else 1
+    return UniPoly(Fraction(v, lc) for v in a.coeffs)
 
 
 def squarefree_part(p):

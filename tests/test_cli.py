@@ -119,6 +119,10 @@ def test_join_command(capsys):
     ("scan_moat_grid_16", ["scan", *MOAT_FLAGS, "--grid-n", "16"]),
     ("scan_three_roots_p7_grid_16",
      ["scan", *P7_THREE_ROOTS_FLAGS, "--grid-n", "16"]),
+    # deg N = 47: the remainder sequences must stay polynomial in size
+    ("csc_roots_d22_width_1000",
+     ["csc-roots", "--d", "22", "--a", "3", "--g2", "2", "--k", "1", "--x", "1/2",
+      "--width", "1/1000"]),
 ])
 def test_coarse_width_documents_are_golden(capsys, name, args):
     # brackets wider than the cone still come back inside (-1, 1), and full

@@ -4,19 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from sasakijoin import (
     classify_ray,
+    make_setup,
+    profile_table,
     exact_divide,
     is_positive_on_open,
     scan,
     slope,
     UniPoly,
 )
+from sasakijoin.conescan import is_extremal
 from sasakijoin.errors import DomainError
 from support import (
     ONE_MINUS_Z2,
     proportional,
+    random_c,
     random_setup,
     setup_moat,
     setup_no_csc,
@@ -44,6 +49,25 @@ def test_classify_ray_examples():
     display = UniPoly((10, -9)) * UniPoly((10, 9)) ** 2 * F(26353, 2000)
     assert proportional(display, cofactor)
     assert is_positive_on_open(cofactor, -1, 1)
+
+
+@pytest.mark.parametrize("p", range(5, 11))
+def test_is_extremal_matches_sympy_near_the_cone_ends(p):
+    # the cleared coefficients of F are largest near c = +-1; sympy decides
+    # extremality as: G = F/(1-z^2) has no real root in (-1, 1) and G(0) > 0
+    z = sp.Symbol("z")
+    rng = random.Random(p)
+    end = 1 - F(1, 2 ** 30)
+    rays = [-end, end, F(0)] + [random_c(rng) for _ in range(3)]
+    for a, x in ((-40, F(1, 2)), (-5, F(9, 10))):
+        table = profile_table(make_setup(d=p - 4, a=a, genus_g2=3, degree_k=1, x=x))
+        for c in rays:
+            profile = table.profile_at(c).F
+            G = sp.Poly([sp.Rational(v.numerator, v.denominator)
+                         for v in reversed(profile.coeffs)], z).exquo(sp.Poly(1 - z * z, z))
+            want = (G.eval(0) > 0
+                    and not any(bool(-1 < r) and bool(r < 1) for r in G.real_roots()))
+            assert is_extremal(profile) == want
 
 
 # -- slope coordinates ------------------------------------------------------------

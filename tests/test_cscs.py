@@ -1,5 +1,6 @@
 """Constant-curvature condition: closed form, numerator fit, root certification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from sasakijoin import (
     sturm_count_roots,
 )
 from sasakijoin.errors import DomainError, WrongWeight
+from sasakijoin.exactmath import roots
 from support import (
     proportional,
     random_c,
@@ -172,6 +174,33 @@ def test_csc_root_count_matches_sturm():
         setup = random_setup(rng, d=rng.choice((1, 2)))
         n = condition_numerator(setup)
         assert len(csc_roots(setup, F(1, 64))) == sturm_count_roots(n, -1, 1)
+
+
+def test_sturm_chain_coefficients_obey_a_hadamard_bound_at_large_d(monkeypatch):
+    """The Sturm chain csc_roots builds at d = 28 stays polynomial in size.
+
+    Each term after w and w' is, up to sign, the primitive part of a
+    subresultant of w and w' (Brown-Traub), a determinant of order at most
+    2n-1 whose entries are below n 2^B in size, n = deg w and B the bit length
+    of w's coefficients.  Hadamard's inequality bounds its bit length by
+    (2n-1)(B + log2 n + log2(2n-1)/2) + 1.  A pseudo-remainder sequence that
+    kept its contents would grow exponentially past it.
+    """
+    chains = []
+    build = roots._sturm_chain
+
+    def record(p):
+        chains.append(build(p))
+        return chains[-1]
+
+    monkeypatch.setattr(roots, "_sturm_chain", record)
+    setup = make_setup(d=28, a=3, genus_g2=2, degree_k=1, x=F(1, 2))
+    assert len(csc_roots(setup, F(1, 1000))) % 2 == 1
+    [chain] = chains
+    n = chain[0].degree
+    B = max(abs(v).bit_length() for v in chain[0].coeffs)
+    peak = max(abs(v).bit_length() for q in chain for v in q.coeffs)
+    assert peak <= (2 * n - 1) * (B + math.log2(n) + math.log2(2 * n - 1) / 2) + 1
 
 
 def test_csc_roots_rejects_nonpositive_width():

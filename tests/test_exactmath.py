@@ -1,10 +1,11 @@
 """Exact arithmetic layer: rationals, polynomials, solves, integrals, roots."""
 
 from fractions import Fraction
+import math
 
 import pytest
 import sympy
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sasakijoin.errors import (
@@ -110,6 +111,29 @@ def test_intpoly_ring_operations_match_unipoly(a, b, k):
         assert all(type(v) is int for v in got.coeffs)
 
 
+@given(int_lists, int_lists.filter(any), rationals)
+def test_intpoly_division_and_evaluation_match_unipoly(a, b, t):
+    pa, pb, ua, ub = IntPoly(a), IntPoly(b), UniPoly(a), UniPoly(b)
+    # the multiplier |lc|^(delta+1) is positive whatever the sign of lc
+    delta = max(pa.degree - pb.degree + 1, 0)
+    assert UniPoly(pa.prem(pb).coeffs) == divmod(ua * abs(b[pb.degree]) ** delta, ub)[1]
+    assert (pa * pb).exact_div(pb).coeffs == pa.coeffs
+    if pb.degree >= 1:
+        with pytest.raises(InexactDivision):
+            (pa * pb + 1).exact_div(pb)
+    if pa:
+        assert pa.homogeneous(t) == ua(t) * t.denominator ** pa.degree
+        assert pa.primitive().coeffs == IntPoly.from_unipoly(ua).coeffs
+        assert pa.primitive().coeffs[-1] * pa.coeffs[-1] > 0
+
+
+def test_intpoly_exact_division_is_over_the_integers():
+    # (z + 1) / (2z + 2) = 1/2 over Q, but not over Z
+    with pytest.raises(InexactDivision):
+        IntPoly((1, 1)).exact_div(IntPoly((2, 2)))
+    assert IntPoly((2, 2)).exact_div(IntPoly((1, 1))).coeffs == (2,)
+
+
 def test_poly_gcd_and_squarefree():
     zm1 = UniPoly((-1, 1))
     assert poly_gcd(zm1 * UniPoly((2, 1)), zm1 * UniPoly((3, 1))) == zm1
@@ -156,6 +180,63 @@ def test_sturm_against_known_root_sets(roots, lo, hi):
     distinct = set(roots)
     want_open = sum(1 for r in distinct if lo < r < hi)
     assert sturm_count_roots(p, lo, hi) == want_open
+
+
+# every root factor is m z - n with a non-dyadic root n/m among them, so the
+# ends lo, hi below can sit exactly on a root
+_ENDS = [F(-1), F(1), F(-1, 3), F(2, 7), F(5, 9), F(-7, 5), F(0)]
+_linear = st.sampled_from(_ENDS + [F(1, 2), F(-3, 4)]).map(
+    lambda r: UniPoly((-r.numerator, r.denominator)))
+# a z^2 + b z + c with b^2 < 4ac: no real root
+_irreducible_quadratic = st.tuples(st.integers(1, 5), st.integers(-3, 3),
+                                   st.integers(1, 5), st.sampled_from([1, -1])).filter(
+    lambda t: t[1] ** 2 < 4 * t[0] * t[2]).map(
+    lambda t: UniPoly((t[3] * t[2], t[3] * t[1], t[3] * t[0])))
+# a z^j + b: its gaps make the remainder sequence drop more than one degree
+# at a step, where a signed multiplier lc^(delta+1) would flip a Sturm term
+_binomial = st.tuples(st.integers(2, 4), st.sampled_from([1, -1, 2, -3]),
+                      st.sampled_from([1, -1, 5, -2])).map(
+    lambda t: UniPoly((t[2],) + (0,) * (t[0] - 1) + (t[1],)))
+_any_factor = st.one_of(_linear, _irreducible_quadratic, _binomial,
+                        st.lists(rationals, min_size=2, max_size=4).map(UniPoly).filter(
+                            lambda q: q.degree >= 1))
+# factors with repetition, times a leading coefficient of either sign
+factored_polys = st.tuples(
+    st.lists(st.tuples(_any_factor, st.integers(1, 3)), min_size=1, max_size=4),
+    st.sampled_from([F(1), F(-1), F(3), F(-5, 2), F(-7, 3), F(2, 9)]),
+).map(lambda t: math.prod((f ** e for f, e in t[0]), start=t[1]))
+
+
+def _sympy_poly(p):
+    z = sympy.Symbol("z")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], z, domain="QQ")
+
+
+@settings(max_examples=40)
+@given(factored_polys, st.sampled_from(_ENDS), st.sampled_from(_ENDS))
+@example(-3 * UniPoly((-1, 3)) ** 2 * UniPoly((1, 0, 1)), F(-1), F(1, 3))
+@example(UniPoly((0, 1, 0, 0, -1)), F(-1, 3), F(2, 7))
+def test_root_counts_and_positivity_match_sympy(p, lo, hi):
+    if lo == hi:
+        return
+    lo, hi = min(lo, hi), max(lo, hi)
+    sp_poly = _sympy_poly(p)
+    # sympy counts the distinct roots in the closed interval
+    want = sp_poly.count_roots(lo, hi) - (p(lo) == 0) - (p(hi) == 0)
+    assert sturm_count_roots(p, lo, hi) == want
+    interior = [r for r in sp_poly.real_roots() if bool(lo < r) and bool(r < hi)]
+    assert len(set(interior)) == want
+    assert is_positive_on_open(p, lo, hi) == (not interior and p((lo + hi) / 2) > 0)
+
+
+@settings(max_examples=40)
+@given(factored_polys, factored_polys)
+def test_gcd_and_squarefree_part_match_sympy(p, q):
+    gcd_sympy = sympy.gcd(_sympy_poly(p), _sympy_poly(q)).monic()
+    assert _sympy_poly(poly_gcd(p, q)) == gcd_sympy
+    sf = squarefree_part(p)
+    assert _sympy_poly(sf / sf.leading) == sympy.sqf_part(_sympy_poly(p)).monic()
 
 
 # -- positivity ---------------------------------------------------------------
