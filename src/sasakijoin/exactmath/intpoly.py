@@ -2,12 +2,12 @@
 
 Coefficients are ints, stored lowest degree first and trimmed as in UniPoly.
 The ring operations +, - and x each also take a plain int, so x by an int is
-int scaling.  On top of them are the operations that remainder sequences and
-sign tests over Z need: derivative, content and primitive part, the
-pseudo-remainder with a positive multiplier, exact division, and homogeneous
-evaluation, whose sign is the sign of the value at a rational point.  Staying
-in Z skips the gcd that every Fraction operation pays; from_unipoly and
-UniPoly(poly.coeffs) convert at the boundary.
+int scaling.  On top of them are derivative, content and primitive part, the
+pseudo-remainder with a positive multiplier, the package's one remainder
+sequence (the primitive PRS of Collins and Brown-Traub, read by Sturm chains
+and gcds alike), exact division, and homogeneous evaluation, whose sign is the
+sign of the value at a rational point.  Staying in Z skips the gcd that every
+Fraction operation pays; from_unipoly and UniPoly(poly.coeffs) convert.
 """
 
 from math import gcd, lcm
@@ -96,6 +96,26 @@ class IntPoly:
                 rem[top - e + j] -= f * v
             rem.pop()
         return IntPoly(rem)
+
+    def remainder_sequence(self, other):
+        """[t_0, t_1, ...] = [self, other, ...] up to the last nonzero term,
+        with t_(i+1) = -pp(prem(t_(i-1), t_i)), pp the division by the content.
+
+        The Euclidean sequence over Q is s_0 = self, s_1 = other and
+        s_(i+1) = -rem(s_(i-1), s_i).  Each t_i is a positive multiple of
+        s_i, by induction: if t_(i-1) = a s_(i-1) and t_i = b s_i, a, b > 0,
+        then rem(t_(i-1), t_i) = a rem(s_(i-1), s_i) = -a s_(i+1), as scaling
+        the divisor does not change a remainder, and prem has a positive
+        multiplier.  So both stop at the same length with the same signs
+        everywhere: with other = self' this is a Sturm sequence of self, and
+        the last term is a multiple of gcd(self, other) over Q.  Dividing out the
+        content keeps the coefficients polynomial in size.
+        """
+        seq = [self, other]
+        while seq[-1]:
+            seq.append(-seq[-2].prem(seq[-1]).primitive())
+        seq.pop()
+        return seq
 
     def exact_div(self, other):
         """Quotient q with self = q other exactly over Z; InexactDivision

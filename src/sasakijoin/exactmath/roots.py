@@ -1,15 +1,16 @@
 """Certified real-root machinery: Sturm counting, isolation, identification.
 
 Everything here is exact.  isolate_roots is the one path from a polynomial to
-its certified roots: it takes the squarefree part, divides out roots at the
-interval ends, brackets each remaining root strictly inside the open interval
-by a RootInterval certified "exact" (a Sturm count over the bracket equals 1),
-and pins the root to a rational value that exact evaluation confirms, or
-proves it irrational by the rational root theorem.
+its certified roots: it divides out roots at the interval ends, brackets each
+remaining root strictly inside the open interval by a RootInterval certified
+"exact" (a Sturm count over the bracket equals 1), and pins the root to a
+rational value that exact evaluation confirms, or proves it irrational by the
+rational root theorem.
 
-Counting, positivity and isolation work on the primitive integer multiple of
-the polynomial (IntPoly): the Sturm sequences are primitive pseudo-remainder
-sequences over Z, and every sign is read by homogeneous integer evaluation
+A polynomial argument is a UniPoly or an IntPoly, and the work is on an
+IntPoly, the primitive integer multiple of a UniPoly: the one Sturm sequence is
+IntPoly.remainder_sequence over Z, isolate_roots reads the squarefree part off
+its last term, and every sign is read by homogeneous integer evaluation
 (sturm_count_roots has the proof that the counts are Sturm's).
 """
 
@@ -20,7 +21,6 @@ from typing import Optional
 
 from ..errors import DomainError, ZeroPolynomial
 from .intpoly import IntPoly
-from .unipoly import UniPoly, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,7 @@ class RootInterval:
 
 
 def _sturm_chain(p):
-    chain = [p, p.derivative()]
-    while True:
-        r = chain[-2].prem(chain[-1])
-        if not r:
-            return chain
-        chain.append(-r.primitive())
+    return p.remainder_sequence(p.derivative())
 
 
 def _variations(chain, t):
@@ -88,41 +83,34 @@ def _as_intpoly(p):
     return p if isinstance(p, IntPoly) else IntPoly.from_unipoly(p)
 
 
-def sturm_count_roots(p, lo, hi):
-    """Number of distinct real roots of p in the open interval (lo, hi).
-
-    p is a UniPoly or an IntPoly; a UniPoly is replaced once by its primitive
-    integer multiple with a positive factor, which has the same roots.  One
-    Sturm sequence is built on w, that polynomial with its roots at lo and hi
-    divided out.  w need not be squarefree: every element of the sequence is
-    a multiple of g = gcd(w, w'), and g does not vanish where w does not, so
-    at such a point the sign variations are those of the sequence divided by
-    g.  lo and hi are such points, so the variation count is the number of
-    distinct roots (Sturm's theorem in its general form).
-
-    The sequence is computed over Z.  The classical one is s_0 = w, s_1 = w'
-    and s_(i+1) = -rem(s_(i-1), s_i) over Q; here t_0 = w, t_1 = w' and
-    t_(i+1) = -pp(prem(t_(i-1), t_i)), with prem the pseudo-remainder by the
-    positive multiplier |lc(t_i)|^(delta+1) and pp the division by the
-    positive content.  Each t_i is a positive multiple of s_i, by induction:
-    if t_(i-1) = a s_(i-1) and t_i = b s_i with a, b > 0, then
-    rem(t_(i-1), t_i) = a rem(s_(i-1), s_i) = -a s_(i+1), since scaling the
-    divisor does not change a remainder, so prem(t_(i-1), t_i) is a positive
-    multiple of -s_(i+1) and t_(i+1) one of s_(i+1).  Both sequences thus
-    stop at the same length and have the same signs at every point, and every
-    variation count is the classical one.  Dividing out the content keeps the
-    coefficients polynomial in size (the primitive PRS of Collins and
-    Brown-Traub); the signs are read by homogeneous evaluation, in integers.
-    """
+def _prepare(p, lo, hi, task):
+    """(lo, hi, w, w's Sturm chain), w being p as an IntPoly less its roots at lo, hi."""
     if not p:
-        raise ZeroPolynomial("root counting needs a nonzero polynomial")
+        raise ZeroPolynomial(f"{task} needs a nonzero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise DomainError(f"need lo < hi, got {lo}, {hi}")
-    work = _strip_endpoint_roots(_as_intpoly(p), lo, hi)
-    if work.degree < 1:
-        return 0
-    chain = _sturm_chain(work)
+    w = _strip_endpoint_roots(_as_intpoly(p), lo, hi)
+    return lo, hi, w, _sturm_chain(w)
+
+
+def sturm_count_roots(p, lo, hi):
+    """Number of distinct real roots of p in the open interval (lo, hi).
+
+    One Sturm sequence is built on w, p as an IntPoly (a UniPoly's primitive
+    integer multiple) less its roots at lo and hi.  w need not be squarefree:
+    every element of the sequence is a multiple of g = gcd(w, w'), and g does
+    not vanish where w does not, so at such a point the sign variations are
+    those of the sequence divided by g.  lo and hi are such points, so the
+    variation count is the number of distinct roots (Sturm's theorem in its
+    general form).
+
+    The sequence is IntPoly.remainder_sequence(w, w') over Z, whose terms
+    are positive multiples of the classical ones over Q, so every variation
+    count is the classical one; the signs are read by homogeneous evaluation,
+    in integers.  A constant w has the sequence [w] and no variations.
+    """
+    lo, hi, _, chain = _prepare(p, lo, hi, "root counting")
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -145,31 +133,29 @@ def is_positive_on_open(p, lo, hi):
 def isolate_roots(p, lo, hi, width):
     """Every root of p in the open interval (lo, hi), isolated and identified.
 
-    p is reduced to its squarefree part and its roots at lo and hi are divided
-    out.  Each RootInterval then holds exactly one root of that part, certified
-    by a Sturm count of 1 (multiplicity_note "exact"); it is at most width wide
-    and lies strictly inside (lo, hi), so both its ends are points of the open
-    interval.  exact_value holds the root when it is rational, and None proves
-    it irrational.  Returned in increasing order.
+    Each RootInterval holds exactly one root of p that is not lo or hi,
+    certified by a Sturm count of 1 (multiplicity_note "exact"); it is at most
+    width wide and lies strictly inside (lo, hi), so both its ends are points
+    of the open interval.  exact_value holds the root when it is rational, and
+    None proves it irrational.  Returned in increasing order.
 
-    The reduced part is converted once to its primitive integer multiple with
-    a positive factor, and every sign test (Sturm variations, bisection, the
-    nudge off a root) reads it in integers; identify_rational_root gets the
-    same polynomial as a UniPoly.
+    One Sturm sequence is built, on w, p as an IntPoly less its roots at lo
+    and hi, as in sturm_count_roots: its variation counts are numbers of
+    distinct roots even when w has repeated factors.  Its last term is a
+    multiple of gcd(w, w'), so w divided exactly by that term's primitive part
+    (w itself when the term is a constant) is sf, the squarefree part of w up
+    to a nonzero factor, which changes sign across each of its roots.  The
+    factor may be negative, since the last term's sign is not fixed, but every
+    sign test here (bisection, the nudge off a root, identify_rational_root)
+    compares two signs of sf, so the result does not depend on it.
     """
-    if not p:
-        raise ZeroPolynomial("isolation needs a nonzero polynomial")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi, w, chain = _prepare(p, lo, hi, "isolation")
     width = Fraction(width)
     if width <= 0:
         raise DomainError("width must be positive")
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got {lo}, {hi}")
-    sf = _strip_endpoint_roots(IntPoly.from_unipoly(squarefree_part(p)), lo, hi)
-    if sf.degree < 1:
-        return []
-    chain = _sturm_chain(sf)
-    sf_rational = UniPoly(sf.coeffs)
+    g = chain[-1]
+    # a primitive divisor of w over Q divides it over Z (Gauss's lemma)
+    sf = w.exact_div(g.primitive()) if g.degree >= 1 else w
     out = []
     # (a, b, Sturm variations at a and b, sf(a) scaled); the left half is
     # refined first and the right one waits on the stack, so roots come out
@@ -211,7 +197,7 @@ def isolate_roots(p, lo, hi, width):
             else:
                 b = m
         out.append(RootInterval(a, b, "exact",
-                                exact_value=identify_rational_root(sf_rational, a, b)))
+                                exact_value=identify_rational_root(sf, a, b)))
     return out
 
 
@@ -235,23 +221,25 @@ def simplest_rational_in(lo, hi):
 def identify_rational_root(p, lo, hi):
     """Pin the unique simple root of p in (lo, hi) to an exact rational.
 
-    Requires a sign change across the bracket.  By the rational root theorem
-    every rational root of p is j/l with j an integer and l the leading
-    coefficient of p's primitive integer multiple, up to sign.  Bisecting to
-    width at most 1/l leaves one candidate j/l to test, so None proves the
-    root irrational.
+    p is converted once to an IntPoly, whose homogeneous values give every
+    sign and zero.  Requires a sign change across the bracket.  By the
+    rational root theorem every rational root of p is j/l with j an integer
+    and l the leading coefficient of p's primitive integer multiple, up to
+    sign.  Bisecting to width at most 1/l leaves one candidate j/l to test,
+    so None proves the root irrational.
     """
+    p = _as_intpoly(p)
     lo, hi = Fraction(lo), Fraction(hi)
-    v_lo, v_hi = p(lo), p(hi)
+    v_lo, v_hi = p.homogeneous(lo), p.homogeneous(hi)
     if v_lo == 0 or v_hi == 0:
         return lo if v_lo == 0 else hi
     if (v_lo > 0) == (v_hi > 0):
         return None
-    grid = abs(IntPoly.from_unipoly(p).coeffs[-1])
+    grid = abs(p.coeffs[-1]) // math.gcd(*p.coeffs)
     positive_left = v_lo > 0
     while (hi - lo) * grid > 1:
         mid = (lo + hi) / 2
-        v = p(mid)
+        v = p.homogeneous(mid)
         if v == 0:
             return mid
         if (v > 0) == positive_left:
@@ -259,6 +247,6 @@ def identify_rational_root(p, lo, hi):
         else:
             hi = mid
     cand = Fraction(math.floor(lo * grid) + 1, grid)
-    if cand < hi and p(cand) == 0:
+    if cand < hi and p.homogeneous(cand) == 0:
         return cand
     return None

@@ -172,18 +172,13 @@ def exact_divide(num, den):
 
 
 def poly_gcd(a, b):
-    """Monic gcd, by the primitive pseudo-remainder sequence over Z.
-
-    a and b are replaced by their primitive integer multiples; each step
-    takes the pseudo-remainder and divides it by its content, so every term
-    is a nonzero multiple of the Euclidean one and the last nonzero term is
-    a multiple of the gcd over Q, made monic here.
+    """Monic gcd: the last term of IntPoly.remainder_sequence on the
+    primitive integer multiples of a and b, a multiple of the gcd over Q,
+    made monic here (the zero polynomial when a and b are both zero).
     """
-    a, b = IntPoly.from_unipoly(a), IntPoly.from_unipoly(b)
-    while b:
-        a, b = b, a.prem(b).primitive()
-    lc = a.coeffs[-1] if a else 1
-    return UniPoly(Fraction(v, lc) for v in a.coeffs)
+    g = IntPoly.from_unipoly(a).remainder_sequence(IntPoly.from_unipoly(b))[-1]
+    lc = g.coeffs[-1] if g else 1
+    return UniPoly(Fraction(v, lc) for v in g.coeffs)
 
 
 def squarefree_part(p):

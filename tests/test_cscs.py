@@ -19,7 +19,7 @@ from sasakijoin import (
     sturm_count_roots,
 )
 from sasakijoin.errors import DomainError, WrongWeight
-from sasakijoin.exactmath import roots
+from sasakijoin.exactmath import IntPoly, isolate_roots, roots
 from support import (
     proportional,
     random_c,
@@ -201,6 +201,34 @@ def test_sturm_chain_coefficients_obey_a_hadamard_bound_at_large_d(monkeypatch):
     B = max(abs(v).bit_length() for v in chain[0].coeffs)
     peak = max(abs(v).bit_length() for q in chain for v in q.coeffs)
     assert peak <= (2 * n - 1) * (B + math.log2(n) + math.log2(2 * n - 1) / 2) + 1
+
+
+@pytest.mark.parametrize("d", [1, 28])
+def test_isolation_builds_one_remainder_sequence(monkeypatch, d):
+    """isolate_roots on a squarefree N, nonzero at -1 and 1, takes deg N
+    pseudo-remainders: those of its one Sturm chain, t_2 .. t_n and the zero
+    that ends it.  On an IntPoly it builds no UniPoly."""
+    numerator = condition_numerator(make_setup(d=d, a=3, genus_g2=2, degree_k=1,
+                                               x=F(1, 2)))
+    assert numerator(-1) and numerator(1)
+    counts = {"prem": 0, "unipoly": 0}
+    prem, init = IntPoly.prem, UniPoly.__init__
+
+    def counting_prem(self, other):
+        counts["prem"] += 1
+        return prem(self, other)
+
+    def counting_init(self, coeffs=()):
+        counts["unipoly"] += 1
+        init(self, coeffs)
+
+    monkeypatch.setattr(IntPoly, "prem", counting_prem)
+    monkeypatch.setattr(UniPoly, "__init__", counting_init)
+    ivs = isolate_roots(numerator, -1, 1, F(1, 1000))
+    assert counts["prem"] == numerator.degree
+    counts["unipoly"] = 0
+    assert isolate_roots(IntPoly.from_unipoly(numerator), -1, 1, F(1, 1000)) == ivs
+    assert counts["unipoly"] == 0
 
 
 def test_csc_roots_rejects_nonpositive_width():

@@ -230,6 +230,44 @@ def test_root_counts_and_positivity_match_sympy(p, lo, hi):
     assert is_positive_on_open(p, lo, hi) == (not interior and p((lo + hi) / 2) > 0)
 
 
+# c (m z - n)^k with a content c > 1 allowed, so that a remainder sequence can
+# end on a non-primitive multiple of the gcd, as w' does for w = (3 + 5z)^3
+_scaled_linear = st.tuples(st.sampled_from(_ENDS + [F(1, 2), F(-3, 5)]),
+                           st.integers(1, 4)).map(
+    lambda t: UniPoly((-t[1] * t[0].numerator, t[1] * t[0].denominator)))
+repeated_polys = st.tuples(
+    st.lists(st.tuples(_scaled_linear, st.integers(1, 4)), min_size=1, max_size=3),
+    st.one_of(st.just(UniPoly((1,))), _irreducible_quadratic, _binomial,
+              st.lists(st.integers(-5, 5), min_size=2, max_size=4).map(UniPoly).filter(
+                  lambda q: q.degree >= 1)),
+    st.sampled_from([1, -1, 3, -5, F(2, 9)]),
+).map(lambda t: math.prod((f ** e for f, e in t[0]), start=t[2] * t[1]))
+
+
+@settings(max_examples=30)
+@given(repeated_polys, st.sampled_from(_ENDS), st.sampled_from(_ENDS),
+       st.sampled_from([F(1, 64), F(2)]))
+@example(UniPoly((3, 5)) ** 3, F(-1), F(0), F(1, 64))
+def test_isolation_with_repeated_nonprimitive_factors_matches_sympy(p, lo, hi, width):
+    if lo == hi:
+        return
+    lo, hi = min(lo, hi), max(lo, hi)
+    interior = sorted({r for r in _sympy_poly(p).real_roots()
+                       if bool(lo < r) and bool(r < hi)})
+    assert sturm_count_roots(p, lo, hi) == len(interior)
+    ivs = isolate_roots(p, lo, hi, width)
+    assert len(ivs) == len(interior)
+    for iv, r in zip(ivs, interior):
+        assert [bool(iv.lo < s) and bool(s < iv.hi) for s in interior].count(True) == 1
+        assert bool(iv.lo < r) and bool(r < iv.hi) and iv.width <= width
+        assert iv.exact_value == (F(int(r.p), int(r.q)) if r.is_Rational else None)
+    # an integer input, non-primitive and of either sign, gives the same result
+    ip = IntPoly.from_unipoly(p)
+    for q in (ip, -6 * ip):
+        assert sturm_count_roots(q, lo, hi) == len(interior)
+        assert isolate_roots(q, lo, hi, width) == ivs
+
+
 @settings(max_examples=40)
 @given(factored_polys, factored_polys)
 def test_gcd_and_squarefree_part_match_sympy(p, q):
@@ -387,10 +425,13 @@ def test_identify_rational_root():
     assert identify_rational_root(UniPoly((-1, 1)), 1, 2) == 1
     # no sign change: nothing to identify
     assert identify_rational_root(UniPoly((1, 0, 1)), -1, 1) is None
+    # integer inputs, non-primitive and with a negative leading coefficient
+    assert identify_rational_root(IntPoly((6, -4)), 1, 2) == F(3, 2)
+    assert identify_rational_root(IntPoly((-4, 0, 2)), 1, F(3, 2)) is None
 
 
-class CountingPoly(UniPoly):
-    """A UniPoly that counts its evaluations."""
+class CountingPoly(IntPoly):
+    """An IntPoly that counts its evaluations."""
 
     __slots__ = ("calls",)
 
@@ -398,9 +439,9 @@ class CountingPoly(UniPoly):
         super().__init__(coeffs)
         self.calls = 0
 
-    def __call__(self, t):
+    def homogeneous(self, t):
         self.calls += 1
-        return super().__call__(t)
+        return super().homogeneous(t)
 
 
 def _ceil_log2(x):
@@ -431,13 +472,17 @@ def test_identify_rational_root_is_complete(case, width):
     grid = root.denominator
     ivs = isolate_roots(p, -5, 5, width)
     assert len(ivs) == 3
-    counted = CountingPoly(p.coeffs)
-    for iv in ivs:
-        counted.calls = 0
-        found = identify_rational_root(counted, iv.lo, iv.hi)
-        assert found == (root if iv.lo < root < iv.hi else None)
-        assert iv.exact_value == found
-        assert counted.calls <= _ceil_log2(grid * iv.width) + 3
+    # the primitive integer multiple, and a non-primitive one of the other sign
+    ip = IntPoly.from_unipoly(p)
+    for multiple in (ip, -6 * ip):
+        counted = CountingPoly(multiple.coeffs)
+        for iv in ivs:
+            counted.calls = 0
+            found = identify_rational_root(counted, iv.lo, iv.hi)
+            assert found == (root if iv.lo < root < iv.hi else None)
+            assert iv.exact_value == found
+            # at least the two end signs, so the count is not vacuous
+            assert 2 <= counted.calls <= _ceil_log2(grid * iv.width) + 3
 
 
 def test_root_interval_validation():
