@@ -19,13 +19,13 @@ which is definite as omega > 0 on (-1, 1).  Thus d = 0, G'' = 0 and
 G = H = 0.  A kernel vector (F_0, F_1, A1, A2) of the endpoint system of
 _endpoint_solve is such an H, so that system is nonsingular for |c| < 1.
 
-One routine, _endpoint_solve, derives F and (A1, A2) in integers from the
-Taylor recursion of the ODE and the endpoint conditions.  compute_profile
-runs it at one ray c = n/m; profile_table runs it once over Z[c], giving
+The z^k coefficient of the ODE is written once, over Z: _right_side holds
+the right side and _ode_map the left.  _endpoint_solve derives F and
+(A1, A2) from its Taylor recursion and the endpoint conditions, at one ray
+c = n/m for compute_profile or once over Z[c] for profile_table, which gives
 F(z; c) = P(z, c)/D(c) and (A1, A2) = (P1(c), P2(c))/D(c) for every ray of a
-setup, which the table then reads at each ray in integer arithmetic.
-_certify checks each result exactly against the ODE and the endpoint
-conditions, in Q for a ray and in Q[c] for a table.
+setup.  _certify checks each result exactly through the same map, on the
+ray's data cleared to integers or on the integer rows the table evaluates.
 """
 
 from dataclasses import dataclass
@@ -139,29 +139,55 @@ def solve_A(setup, c):
     )
 
 
-def _certify(setup, c, D, P1, P2, P, what):
-    """Raise InternalInconsistency unless (D, P1, P2, P_0..P_p) meet the ODE
-    and endpoint identities listed under ProfileTable: in Q[c] for a table, or
-    in Q for one ray, with D = 1, (P1, P2) = (A1, A2) and P the coefficients
-    of F."""
-    p, a, s, x = setup.p, setup.a, setup.s, setup.x
+def _right_side(setup):
+    """(L, L x, rows), L the lcm of the denominators of s0 = 2a+2sx, s1 = 2ax
+    and x.  Row k = 0..p, (t0, t1, t2, b1, b2), holds the z^k coefficients
+    t0 + t1 c + t2 c^2 of L (cz+1)^2 (s0 + s1 z), the ODE's source, and
+    b1 P1 + b2 P2 of L (P1 z + P2)(1 + xz), its affine part."""
+    p, x = setup.p, setup.x
+    s0, s1 = 2 * setup.a + 2 * setup.s * x, 2 * setup.a * x
+    L = lcm(s0.denominator, s1.denominator, x.denominator)
+    Ls0, Ls1, Lx = ((L * v).numerator for v in (s0, s1, x))
+    rows = [(Ls0, 0, 0, 0, L), (Ls1, 2 * Ls0, 0, L, Lx), (0, 2 * Ls1, Ls0, Lx, 0),
+            (0, 0, Ls1, 0, 0)]
+    return L, Lx, rows + [(0,) * 5] * (p - 3)
+
+
+def _ode_map(p, L, right, D, P):
+    """For ints or IntPolys D and P_0..P_p, and (L, right) from _right_side,
+    the triples (e0, e1, e2), k = 0..p, with e0 + e1 c + e2 c^2 equal to L
+    times the z^k coefficient of the ODE's left side at F = P less D times its
+    source; plus b1 P1 + b2 P2, it is L times the z^k defect of the ODE."""
     P = list(P) + [0] * (p + 3 - len(P))
-    c2 = c * c
-    # z-coefficients of (cz+1)^2 (2a(1+xz) + 2sx) and (P1 z + P2)(1 + xz)
-    s0, s1 = 2 * a + 2 * s * x, 2 * a * x
-    source = [s0, s1 + 2 * s0 * c, 2 * s1 * c + s0 * c2, s1 * c2] + [0] * (p - 3)
-    affine = [P2, P1 + x * P2, x * P1] + [0] * (p - 2)
-    for k in range(p + 1):
-        lhs = ((k - p) * (k - p + 1) * c2 * P[k]
-               + 2 * (k + 1) * (k + 1 - p) * c * P[k + 1]
-               + (k + 2) * (k + 1) * P[k + 2])
-        if lhs != D * source[k] - affine[k]:
+    return [(L * (k + 2) * (k + 1) * P[k + 2] - D * t0,
+             2 * L * (k + 1) * (k + 1 - p) * P[k + 1] - D * t1,
+             L * (k - p) * (k - p + 1) * P[k] - D * t2)
+            for k, (t0, t1, t2, _, _) in enumerate(right)]
+
+
+def _cleared(rows):
+    """Rows of rationals times the least positive rational making them ints."""
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    content = gcd(*(v for row in rows for v in row))
+    return [[v // content for v in row] for row in rows]
+
+
+def _certify(setup, n, m, rows, what):
+    """Raise InternalInconsistency unless rows = (D, P1, P2, P_0..P_p) meet
+    the identities listed under ProfileTable at c = n/m, times L (the ODE's
+    also times m^2, as _ode_map gives it).  For a ray n, m and the rows are
+    ints, (1, A1, A2, F) cleared; for a table n = c as an IntPoly, m = 1."""
+    D, P1, P2, *P = rows
+    L, Lx, right = _right_side(setup)
+    for k, ((e0, e1, e2), row) in enumerate(zip(_ode_map(setup.p, L, right, D, P), right)):
+        if m * m * (e0 + row[3] * P1 + row[4] * P2) + n * m * e1 + n * n * e2:
             raise InternalInconsistency(f"{what} fails the ODE at z^{k}")
-    values = [sum(sign ** k * Pk for k, Pk in enumerate(P)) for sign in (1, -1)]
-    slopes = [sum(sign ** (k + 1) * k * Pk for k, Pk in enumerate(P))
-              for sign in (1, -1)]
-    if any(values) or slopes != [-2 * (1 + x) * D, 2 * (1 - x) * D]:
-        raise InternalInconsistency(f"{what} fails an endpoint condition")
+    for sign in (1, -1):
+        value = sum(sign ** k * Pk for k, Pk in enumerate(P))
+        slope = L * sum(sign ** (k + 1) * k * Pk for k, Pk in enumerate(P))
+        if value or slope + 2 * sign * (L + sign * Lx) * D:
+            raise InternalInconsistency(f"{what} fails an endpoint condition")
 
 
 def _endpoint_solve(setup, n, m):
@@ -170,8 +196,8 @@ def _endpoint_solve(setup, n, m):
     n and m are ints for one ray, or n = c as an IntPoly and m = 1 for every
     ray of a setup.  The z^k coefficient of the ODE, for F = sum F_k z^k, is
         (k+2)(k+1) F_(k+2) = r_k - c^2 (k-p)(k-p+1) F_k - 2c (k+1)(k+1-p) F_(k+1)
-    with r_k that of the right side.  With L the lcm of the denominators of
-    2a+2sx, 2ax and x, H_k = m^k k! L F_k obeys, over Z,
+    with r_k that of the right side.  With L from _right_side,
+    H_k = m^k k! L F_k obeys, over Z,
         H_(k+2) = k! m^(k+2) L r_k(n/m) - (k-p)(k-p+1) n^2 H_k - 2(k+1-p) n H_(k+1),
     so each H_k is an integer linear form in (1, H_0, H_1, A1, A2).  As
     deg r <= 3 < p-1, the z^(p-1) and z^p equations read 0 = 0: deg F <= p.
@@ -183,23 +209,16 @@ def _endpoint_solve(setup, n, m):
     docstring).  Returns (v, G, L) with G_k = sum_i v_i H_(k,i), so that
     A1 = v_3/v_0, A2 = v_4/v_0 and F_k = G_k/(v_0 m^k k! L).
     """
-    p, x = setup.p, setup.x
-    s0, s1 = 2 * setup.a + 2 * setup.s * x, 2 * setup.a * x
-    L = lcm(s0.denominator, s1.denominator, x.denominator)
-    Ls0, Ls1, Lx = ((L * v).numerator for v in (s0, s1, x))
-    n2, m2, m3 = n * n, m * m, m * m * m
-    # k! m^(k+2) L r_k(n/m) in the basis (1, H_0, H_1, A1, A2), from the
-    # z-coefficients [s0, s1 + 2c s0, 2c s1 + c^2 s0, c^2 s1] of the source
-    # (cz+1)^2 (s0 + s1 z) and [-A2, -A1 - x A2, -x A1] of the affine part
-    source = [(Ls0 * m2, 0, 0, 0, -L * m2),
-              (Ls1 * m3 + 2 * Ls0 * n * m2, 0, 0, -L * m3, -Lx * m3),
-              (4 * Ls1 * n * m3 + 2 * Ls0 * n2 * m2, 0, 0, -2 * Lx * m3 * m, 0),
-              (6 * Ls1 * n2 * m3, 0, 0, 0, 0)] + [(0,) * 5] * (p - 5)
+    p = setup.p
+    L, Lx, right = _right_side(setup)
+    n2, m2 = n * n, m * m
     H = [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
-    for k, r in enumerate(source):
+    for k, (t0, t1, t2, b1, b2) in enumerate(right[:p - 1]):
+        # k! m^(k+2) L r_k(n/m) in the basis (1, H_0, H_1, A1, A2)
+        f = factorial(k) * m ** k
+        r = (f * (t0 * m2 + t1 * n * m + t2 * n2), 0, 0, -f * m2 * b1, -f * m2 * b2)
         u, w = (k - p) * (k - p + 1) * n2, 2 * (k + 1 - p) * n
-        H.append(tuple(rk - u * hk - w * hk1
-                       for rk, hk, hk1 in zip(r, H[k], H[k + 1])))
+        H.append(tuple(rk - u * hk - w * hk1 for rk, hk, hk1 in zip(r, H[k], H[k + 1])))
     # p! m^p L times F(1), F(-1), F'(1) and F'(-1), less their targets
     w = [factorial(p) // factorial(k) * m ** (p - k) for k in range(p + 1)]
     ends = [[sign ** k * wk for k, wk in enumerate(w)] for sign in (1, -1)]
@@ -231,7 +250,8 @@ def compute_profile(setup, c):
     v, G, L = _endpoint_solve(setup, c.numerator, m)
     A1, A2 = Fraction(v[3], v[0]), Fraction(v[4], v[0])
     F = UniPoly(Fraction(g, v[0] * m ** k * factorial(k) * L) for k, g in enumerate(G))
-    _certify(setup, c, 1, A1, A2, F.coeffs, f"profile at c={c}")
+    _certify(setup, c.numerator, m, _cleared([[1, A1, A2, *F.coeffs]])[0],
+             f"profile at c={c}")
     return ExtremalProfile(c=c, F=F, A1=A1, A2=A2, p=setup.p)
 
 
@@ -241,14 +261,11 @@ class ProfileTable:
 
     D, P1 and P2 are polynomials in c, and P is the list of the z-coefficients
     P_0..P_p of P(z, c), each a polynomial in c.  The constructor checks, as
-    identities in Q[c]:
-      - the ODE coefficient by coefficient: for k = 0..p,
-            c^2 (k-p)(k-p+1) P_k + 2c (k+1)(k+1-p) P_(k+1) + (k+2)(k+1) P_(k+2)
-        is the z^k coefficient of
-            D (cz+1)^2 (2a(1+xz) + 2sx) - (P1 z + P2)(1 + xz);
-      - P(+-1, c) = 0;
-      - P_z(+-1, c) = -+2(1+-x) D,
-    and raises InternalInconsistency if one fails.
+    identities in Z[c] on the integer rows that profile_at evaluates, the ODE
+    times D, coefficient by coefficient (its z^k coefficient is
+        c^2 (k-p)(k-p+1) P_k + 2c (k+1)(k+1-p) P_(k+1) + (k+2)(k+1) P_(k+2)
+            = [D (cz+1)^2 (2a(1+xz) + 2sx) - (P1 z + P2)(1 + xz)]_k),
+    P(+-1, c) = 0 and P_z(+-1, c) = -+2(1+-x) D; InternalInconsistency if not.
 
     These identities make the table exact at every |c| < 1: profile_table's
     D is minus the endpoint determinant, nonzero there (module docstring), and
@@ -256,22 +273,19 @@ class ProfileTable:
     F = P(., c)/D(c) with (A1, A2) = (P1, P2)/D, which fix F uniquely.  The
     tests pin D to the moment form (1-c^2)^(2p-2) (alpha1^2 - alpha0 alpha2).
 
-    For evaluation every polynomial is scaled by one common integer, so a
-    ray c = n/m costs one integer dot product with n^j m^(N-j) per polynomial
-    (N the largest degree) and one division by the value of D per output.
+    The rows scale every polynomial by one integer, so a ray c = n/m costs
+    one dot product with n^j m^(N-j) per row (N the largest degree) and one
+    division by the value of D per output.
     """
 
     def __init__(self, setup, D, P1, P2, P):
         self.setup = setup
         self.D, self.P1, self.P2, self.P = D, P1, P2, tuple(P)
-        _certify(setup, UniPoly.variable(), D, P1, P2, self.P,
-                 f"profile table for p={setup.p}")
         polys = (D, P1, P2) + self.P
         self._degree = max(poly.degree for poly in polys)
-        scale = lcm(*(coeff.denominator for poly in polys for coeff in poly.coeffs))
-        rows = [[int(coeff * scale) for coeff in poly.coeffs] for poly in polys]
-        content = gcd(*(v for row in rows for v in row))
-        self._rows = [[v // content for v in row] for row in rows]
+        self._rows = _cleared([poly.coeffs for poly in polys])
+        _certify(setup, IntPoly((0, 1)), 1, [IntPoly(row) for row in self._rows],
+                 f"profile table for p={setup.p}")
 
     def profile_at(self, c):
         """The profile of the ray at parameter c, read off the table."""

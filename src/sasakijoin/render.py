@@ -11,6 +11,7 @@ import tempfile
 from fractions import Fraction
 
 from ._version import __version__
+from .errors import DomainError
 from .exactmath import decimal_str, format_rational
 
 
@@ -185,18 +186,28 @@ def dump_json(doc):
 
 
 def write_atomic(path, text):
-    """Write text to path through a temporary file in the same directory."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-out-")
+    """Write text to path through a temporary file in the same directory.
+
+    The file gets the mode a plain open() would create it with, 0o666 less
+    the umask, not mkstemp's 0o600.  A path that cannot be written is a
+    DomainError, and no temporary file is left behind.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp = None
     try:
+        directory = os.path.dirname(os.path.abspath(path))
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-out-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def scan_csv(report):

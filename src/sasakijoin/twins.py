@@ -2,9 +2,9 @@
 
 Three settings are covered.  Profile twins on the general family are found by
 coefficient matching: demanding that the base profile F also solves the ODE
-at a different parameter c' leaves a system of quadratics in c', and the
-partners are the rational roots of their gcd.  The p = 4
-sphere-times-surface case has closed forms.  The toric product case is
+at a different parameter c' leaves quadratics in c' over Z, read off
+profile._ode_map, and the partners are the rational roots of their gcd.  The
+p = 4 sphere-times-surface case has closed forms.  The toric product case is
 checked by exact multivariate polynomial expansion of the weighted scalar
 curvature over the standard simplex.
 """
@@ -15,8 +15,8 @@ from functools import reduce
 from typing import Tuple
 
 from .errors import DomainError, InternalInconsistency
-from .exactmath import MultiPoly, UniPoly, isolate_roots, poly_gcd
-from .profile import compute_profile
+from .exactmath import IntPoly, MultiPoly, UniPoly, isolate_roots
+from .profile import _cleared, _ode_map, _right_side, compute_profile
 
 
 @dataclass(frozen=True)
@@ -38,36 +38,27 @@ class TwinReport:
 
 
 def _twin_equations(setup, F):
-    """Quadratics in c' whose common vanishing makes F the profile at c'.
+    """Rows in Z[c'] whose common vanishing makes F the profile at c'.
 
-    Writing the ODE defect as T0 + T1 c' + T2 c'^2, a partner needs every
-    z-coefficient of degree >= 3 to vanish and the degree-<=2 remainder to be
-    divisible by (1 + x z).
+    With F = P/D cleared to ints, profile._ode_map gives L D times the z^k
+    coefficient of T0 + T1 c' + T2 c'^2, the ODE defect of F at c' less its
+    affine part, as a row (e0, e1, e2).  A partner needs the rows of
+    z^p..z^3 to vanish and E0 + E1 z + E2 z^2 to be divisible by 1 + xz:
+    with x = xn/xd, the last row xn^2 E0 - xn xd E1 + xd^2 E2 is xd^2 times
+    its value at z = -1/x.
     """
-    p, x = setup.p, setup.x
-    z = UniPoly.variable()
-    source = 2 * setup.a * (1 + x * z) + 2 * setup.s * setup.x
-    dF = F.derivative()
-    ddF = dF.derivative()
-    t0 = ddF - source
-    t1 = 2 * z * ddF - 2 * (p - 1) * dF - 2 * z * source
-    t2 = z * z * ddF - 2 * (p - 1) * z * dF + p * (p - 1) * F - z * z * source
-    pieces = (t0, t1, t2)
-    equations = []
-    for m in range(p, 2, -1):
-        equations.append(UniPoly([piece.coefficient(m) for piece in pieces]))
-    equations.append(UniPoly([
-        x * x * piece.coefficient(0) - x * piece.coefficient(1) + piece.coefficient(2)
-        for piece in pieces
-    ]))
-    return equations
+    D, *P = _cleared([[1, *F.coeffs]])[0]
+    L, _, right = _right_side(setup)
+    E = [IntPoly(e) for e in _ode_map(setup.p, L, right, D, P)]
+    xn, xd = setup.x.numerator, setup.x.denominator
+    return E[:2:-1] + [xn * xn * E[0] - xn * xd * E[1] + xd * xd * E[2]]
 
 
 def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
     """All c' in (-1, 1) whose profile equals the one at c, certified.
 
-    The partners are the roots other than c of g, the gcd of the matching
-    system of _twin_equations, isolated and identified in (-1, 1).
+    The partners are the roots other than c of g, the gcd over Z of the
+    matching system of _twin_equations, isolated and identified in (-1, 1).
 
     The system never vanishes identically.  If it did, with F the base
     profile and T0, T1 as in _twin_equations, the z^m coefficients of
@@ -102,8 +93,8 @@ def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
     if not nontrivial:
         raise InternalInconsistency(
             f"twin matching system vanished identically at c={base.c}")
-    common = reduce(poly_gcd, nontrivial)
-    if common(base.c) != 0:
+    common = reduce(lambda f, g: f.remainder_sequence(g)[-1], nontrivial)
+    if common.homogeneous(base.c):
         raise InternalInconsistency(
             f"twin matching system does not vanish at its base ray c={base.c}")
     partners = []

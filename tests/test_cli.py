@@ -1,6 +1,8 @@
 """Command-line interface: flag parsing, document shapes, exit codes, artifacts."""
 
 import json
+import os
+import stat
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,6 +164,32 @@ def test_scan_artifacts_are_deterministic(capsys, tmp_path):
     assert 'version="1.1"' in svg_text
     assert "viewBox" in svg_text
     assert "legend" in svg_text or "csc" in svg_text
+
+
+def test_written_files_get_the_mode_of_a_plain_file(capsys, tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    outputs = [tmp_path / name for name in ("doc.json", "table.csv", "cone.svg")]
+    code, _, _ = run_cli(capsys, ["scan", *NO_CSC_FLAGS, "--grid-n", "8",
+                                  "--out", str(outputs[0]), "--csv", str(outputs[1]),
+                                  "--svg", str(outputs[2])])
+    assert code == 0
+    mode = stat.S_IMODE(plain.stat().st_mode)
+    assert [stat.S_IMODE(path.stat().st_mode) for path in outputs] == [mode] * 3
+
+
+@pytest.mark.parametrize("target", [["a-file", "x.json"], ["a-dir", ""]])
+def test_unwritable_out_path_exits_one(capsys, tmp_path, target):
+    # a path under a plain file, and a directory given as the output file
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
+    path = os.path.join(str(tmp_path), *target)
+    code, out, err = run_cli(capsys, ["join", "--l1", "1", "--l2", "2", "--out", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"configuration error: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.rglob(".tmp-out-*"))
 
 
 def test_scan_to_stdout(capsys):

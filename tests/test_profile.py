@@ -24,7 +24,7 @@ from sasakijoin import (
 )
 from sasakijoin.errors import DomainError, InternalInconsistency
 from sasakijoin.exactmath import solve_exact
-from sasakijoin.profile import cleared_beta, cleared_moment
+from sasakijoin.profile import _certify, _cleared, cleared_beta, cleared_moment
 from support import (
     ONE_MINUS_Z2,
     cleared_moment_cramer,
@@ -294,6 +294,53 @@ def test_table_certificate_rejects_a_kernel_shift():
                for k, Pk in enumerate(table.P)]
     with pytest.raises(InternalInconsistency, match="endpoint"):
         ProfileTable(setup, table.D, table.P1, table.P2, shifted)
+
+
+def _certify_ray(setup, c, F_, A1, A2):
+    # the per-ray certificate of compute_profile, on (1, A1, A2, F) cleared
+    _certify(setup, c.numerator, c.denominator, _cleared([[1, A1, A2, *F_.coeffs]])[0],
+             f"profile at c={c}")
+
+
+@pytest.mark.parametrize("c", [F(-3, 7), F(11, 13)])
+def test_ray_certificate_rejects_a_changed_coefficient(c):
+    setup = random_setup(random.Random(61), d=2)
+    prof = compute_profile(setup, c)
+    # the untouched data certifies again
+    _certify_ray(setup, c, prof.F, prof.A1, prof.A2)
+    for k in range(setup.p + 1):
+        coeffs = list(prof.F.coeffs)
+        coeffs[k] += 1
+        with pytest.raises(InternalInconsistency):
+            _certify_ray(setup, c, UniPoly(coeffs), prof.A1, prof.A2)
+
+
+@pytest.mark.parametrize("c", [F(-3, 7), F(11, 13)])
+def test_ray_certificate_rejects_a_kernel_shift(c):
+    # (cz+1)^(p-1) is a kernel element of the ODE operator at c: only the
+    # endpoint conditions can reject it
+    setup = random_setup(random.Random(71), d=2)
+    prof = compute_profile(setup, c)
+    shifted = prof.F + UniPoly((1, c)) ** (setup.p - 1)
+    with pytest.raises(InternalInconsistency, match="endpoint"):
+        _certify_ray(setup, c, shifted, prof.A1, prof.A2)
+
+
+def test_certificates_reject_doubled_slopes():
+    # doubling (a, s) doubles the ODE's source, so twice a profile solves the
+    # ODE and meets F(+-1) = 0 with the doubled setup, but its slopes are
+    # twice the targets: only the slope check can reject it
+    setup = make_setup(d=2, a=F(7, 3), genus_g2=2, degree_k=3, x=F(2, 7))
+    doubled = make_setup(d=2, a=F(14, 3), genus_g2=3, degree_k=3, x=F(2, 7))
+    assert doubled.s == 2 * setup.s
+    table = profile_table(setup)
+    with pytest.raises(InternalInconsistency, match="endpoint"):
+        ProfileTable(doubled, table.D, 2 * table.P1, 2 * table.P2,
+                     [2 * Pk for Pk in table.P])
+    for c in (F(-3, 7), F(11, 13)):
+        prof = compute_profile(setup, c)
+        with pytest.raises(InternalInconsistency, match="endpoint"):
+            _certify_ray(doubled, c, 2 * prof.F, 2 * prof.A1, 2 * prof.A2)
 
 
 def test_table_rejects_out_of_range_rotation():

@@ -4,7 +4,10 @@ For each setup the profile is one bivariate table F(z; c) = P(z, c)/D(c),
 with deg_z P = p, deg_c P <= 2p-6 and D of degree 2p-6 without a root in
 [-1, 1].  Here sympy derives the moment polynomials, D and the Cramer
 numerators P1, P2 on its own, and re-checks the ODE and the endpoint
-conditions on the library's table.  That D never vanishes inside the cone is
+conditions on the library's table.  It also builds the cscS numerator N from
+its own cleared V~ and S~ (F7), and checks that condition_numerator returns
+that N, that the table carries it, P1 - c P2 = 2(1-c^2) N (F10), and its end
+values N(+-1) = +-K_p (1-+x)^2 (F2).  That D never vanishes inside the cone is
 proven for every p in the profile module docstring: the table's D is minus
 the endpoint determinant, and a kernel vector of the endpoint system would be
 a nonzero solution with zero data, which its Gram argument rules out.  The
@@ -16,7 +19,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from sasakijoin import make_setup, profile_table
+from sasakijoin import condition_numerator, make_setup, profile_table
 
 F = Fraction
 c, u, z = sp.symbols("c u z")
@@ -41,12 +44,11 @@ def _cleared_moment(r, q, x, k):
     return total.exquo(sp.Poly(c ** (r + 2), c))
 
 
-def _cleared_beta(a, s, x, r, p):
-    """(1-c^2)^p beta(r, -(p-1)): bulk, surface and boundary moments."""
-    q = -(p - 1)
-    boundary = sp.Poly((-1) ** r * (1 - x) * (1 - c) ** (p + q) * (1 + c) ** p
-                       + (1 + x) * (1 + c) ** (p + q) * (1 - c) ** p, c)
-    return (_cleared_moment(r, q, x, p) * a + _cleared_moment(r, q, 0, p) * (s * x)
+def _cleared_beta(a, s, x, r, q, k):
+    """(1-c^2)^k beta(r, q): bulk, surface and boundary moments."""
+    boundary = sp.Poly((-1) ** r * (1 - x) * (1 - c) ** (k + q) * (1 + c) ** k
+                       + (1 + x) * (1 + c) ** (k + q) * (1 - c) ** k, c)
+    return (_cleared_moment(r, q, x, k) * a + _cleared_moment(r, q, 0, k) * (s * x)
             + boundary)
 
 
@@ -59,7 +61,7 @@ def test_profile_table_structure(p, x):
     assert setup.s == F(-2, 3)
 
     m0, m1, m2 = (_cleared_moment(r, -(p + 1), xs, p) for r in range(3))
-    b0, b1 = (_cleared_beta(a, s, xs, r, p) for r in range(2))
+    b0, b1 = (_cleared_beta(a, s, xs, r, -(p - 1), p) for r in range(2))
     square = sp.Poly((1 - c ** 2) ** 2, c)
     D = (m1 ** 2 - m0 * m2).exquo(square)
     P1 = (2 * (b0 * m1 - m0 * b1)).exquo(square)
@@ -84,3 +86,16 @@ def test_profile_table_structure(p, x):
     assert P.eval(z, 1).is_zero and P.eval(z, -1).is_zero
     assert Pz.eval(z, 1) == D * (-2 * (1 + xs))
     assert Pz.eval(z, -1) == D * (2 * (1 - xs))
+
+    # F7: N from the cleared V~ = (1-c^2)^k V and S~ = (1-c^2)^k S, k = p-2
+    k = p - 2
+    V = _cleared_moment(0, -(p - 1), xs, k)
+    S = _cleared_beta(a, s, xs, 0, -k, k)
+    N = ((sp.Poly(1 - c ** 2, c) * ((p - 1) * S.diff(c) * V - (p - 2) * S * V.diff(c))
+          + sp.Poly(2 * k * c, c) * S * V) * sp.Rational(1, (p - 1) * (p - 2)))
+    assert _sym(condition_numerator(setup)) == N
+    # F10: the table carries N, so A1 - c A2 = 0 on a ray is N(c) = 0
+    assert P1 - sp.Poly(c, c) * P2 == sp.Poly(2 * (1 - c ** 2), c) * N
+    # F2: N(+-1) = +-K_p (1-+x)^2, proven in the condition_numerator docstring
+    K = sp.Rational(2 ** (2 * p - 3), (p - 1) * (p - 2))
+    assert (N.eval(1), N.eval(-1)) == (K * (1 - xs) ** 2, -K * (1 + xs) ** 2)

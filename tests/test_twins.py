@@ -16,7 +16,6 @@ from sasakijoin import (
     cp1_twins,
     find_profile_twins,
     make_setup,
-    poly_gcd,
     toric_csc_solutions,
     toric_weighted_scal,
     twin_weights,
@@ -97,8 +96,15 @@ def test_twin_equations_are_the_ode_defect(p):
     expected = [[piece.coeff_monomial(z ** m) for piece in pieces]
                 for m in range(p, 2, -1)]
     expected.append([_divisibility(piece, x) for piece in pieces])
-    got = [[eq.coefficient(j) for j in range(3)] for eq in _twin_equations(setup, F_)]
-    assert got == [[F(int(v.p), int(v.q)) for v in row] for row in expected]
+    want = [[F(int(v.p), int(v.q)) for v in row] for row in expected]
+    # the rows are over Z: each z^k row is L D times the defect's, and the
+    # divisibility row L D xd^2 times its, for one positive L D
+    want[-1] = [v * setup.x.denominator ** 2 for v in want[-1]]
+    got = [list(eq.coeffs) + [0] * (3 - len(eq.coeffs))
+           for eq in _twin_equations(setup, F_)]
+    scale = next(g / w for g_row, w_row in zip(got, want) for g, w in zip(g_row, w_row) if w)
+    assert scale > 0
+    assert got == [[scale * w for w in row] for row in want]
 
 
 @pytest.mark.parametrize("p", [5, 6])
@@ -163,15 +169,17 @@ def test_twin_gcd_has_the_base_ray_as_a_root():
     # each equation is a quadratic in c' vanishing at c' = c, so the gcd is
     # (c' - c) times a polynomial of degree <= 1
     rng = random.Random(8)
+    cp = sympy.Symbol("cp")
     for p in (5, 6, 7, 8):
         for _ in range(8):
             setup = random_setup(rng, d=p - 4)
             c = random_c(rng)
             equations = _twin_equations(setup, compute_profile(setup, c).F)
-            assert all(eq.degree <= 2 and eq(c) == 0 for eq in equations)
-            common = reduce(poly_gcd, [eq for eq in equations if eq])
-            assert 1 <= common.degree <= 2
-            assert common(c) == 0
+            assert all(eq.degree <= 2 and eq.homogeneous(c) == 0 for eq in equations)
+            # sympy takes the gcd independently of IntPoly.remainder_sequence
+            common = reduce(sympy.gcd, [sympy.Poly(eq.coeffs[::-1], cp) for eq in equations if eq])
+            assert 1 <= common.degree() <= 2
+            assert common.eval(sympy.Rational(c.numerator, c.denominator)) == 0
 
 
 def test_find_profile_twins_validation():
