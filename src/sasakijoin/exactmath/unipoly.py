@@ -49,9 +49,6 @@ class UniPoly:
             return self.coeffs[i]
         return Fraction(0)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 

@@ -20,12 +20,12 @@ G = H = 0.  A kernel vector (F_0, F_1, A1, A2) of the endpoint system of
 _endpoint_solve is such an H, so that system is nonsingular for |c| < 1.
 
 The z^k coefficient of the ODE is written once, over Z: _right_side holds
-the right side and _ode_map the left.  _endpoint_solve derives F and
-(A1, A2) from its Taylor recursion and the endpoint conditions, at one ray
-c = n/m for compute_profile or once over Z[c] for profile_table, which gives
-F(z; c) = P(z, c)/D(c) and (A1, A2) = (P1(c), P2(c))/D(c) for every ray of a
-setup.  _certify checks each result exactly through the same map, on the
-ray's data cleared to integers or on the integer rows the table evaluates.
+the right side and _ode_map the left.  A profile is one set of integer rows
+(D, P1, P2, P_0..P_p), F = P/D and (A1, A2) = (P1, P2)/D, which
+_endpoint_solve derives at one ray c = n/m for compute_profile, or once over
+Z[c] for profile_table (F(z; c) = P(z, c)/D(c) for every ray of a setup).
+_certify checks the rows exactly through the same map, also for the p = 4
+closed form of twins.cp1_profile, and _read divides them by D.
 """
 
 from dataclasses import dataclass
@@ -139,13 +139,12 @@ def solve_A(setup, c):
     )
 
 
-def _right_side(setup):
+def _right_side(p, a, s, x):
     """(L, L x, rows), L the lcm of the denominators of s0 = 2a+2sx, s1 = 2ax
     and x.  Row k = 0..p, (t0, t1, t2, b1, b2), holds the z^k coefficients
     t0 + t1 c + t2 c^2 of L (cz+1)^2 (s0 + s1 z), the ODE's source, and
-    b1 P1 + b2 P2 of L (P1 z + P2)(1 + xz), its affine part."""
-    p, x = setup.p, setup.x
-    s0, s1 = 2 * setup.a + 2 * setup.s * x, 2 * setup.a * x
+    b1 P1 + b2 P2 of L (P1 z + P2)(1 + xz), its affine part; p >= 3."""
+    s0, s1 = 2 * a + 2 * s * x, 2 * a * x
     L = lcm(s0.denominator, s1.denominator, x.denominator)
     Ls0, Ls1, Lx = ((L * v).numerator for v in (s0, s1, x))
     rows = [(Ls0, 0, 0, 0, L), (Ls1, 2 * Ls0, 0, L, Lx), (0, 2 * Ls1, Ls0, Lx, 0),
@@ -153,11 +152,12 @@ def _right_side(setup):
     return L, Lx, rows + [(0,) * 5] * (p - 3)
 
 
-def _ode_map(p, L, right, D, P):
+def _ode_map(L, right, D, P):
     """For ints or IntPolys D and P_0..P_p, and (L, right) from _right_side,
     the triples (e0, e1, e2), k = 0..p, with e0 + e1 c + e2 c^2 equal to L
     times the z^k coefficient of the ODE's left side at F = P less D times its
     source; plus b1 P1 + b2 P2, it is L times the z^k defect of the ODE."""
+    p = len(right) - 1
     P = list(P) + [0] * (p + 3 - len(P))
     return [(L * (k + 2) * (k + 1) * P[k + 2] - D * t0,
              2 * L * (k + 1) * (k + 1 - p) * P[k + 1] - D * t1,
@@ -165,22 +165,14 @@ def _ode_map(p, L, right, D, P):
             for k, (t0, t1, t2, _, _) in enumerate(right)]
 
 
-def _cleared(rows):
-    """Rows of rationals times the least positive rational making them ints."""
-    scale = lcm(*(v.denominator for row in rows for v in row))
-    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
-    content = gcd(*(v for row in rows for v in row))
-    return [[v // content for v in row] for row in rows]
-
-
-def _certify(setup, n, m, rows, what):
-    """Raise InternalInconsistency unless rows = (D, P1, P2, P_0..P_p) meet
-    the identities listed under ProfileTable at c = n/m, times L (the ODE's
-    also times m^2, as _ode_map gives it).  For a ray n, m and the rows are
-    ints, (1, A1, A2, F) cleared; for a table n = c as an IntPoly, m = 1."""
+def _certify(side, n, m, rows, what):
+    """Raise InternalInconsistency unless rows = (D, P1, P2, P_0..P_p), ints
+    at c = n/m or IntPolys with n = c and m = 1, meet the identities listed
+    under ProfileTable, which are linear in the rows, times L (the ODE's also
+    times m^2, as _ode_map gives it), for side = _right_side(p, a, s, x)."""
+    L, Lx, right = side
     D, P1, P2, *P = rows
-    L, Lx, right = _right_side(setup)
-    for k, ((e0, e1, e2), row) in enumerate(zip(_ode_map(setup.p, L, right, D, P), right)):
+    for k, ((e0, e1, e2), row) in enumerate(zip(_ode_map(L, right, D, P), right)):
         if m * m * (e0 + row[3] * P1 + row[4] * P2) + n * m * e1 + n * n * e2:
             raise InternalInconsistency(f"{what} fails the ODE at z^{k}")
     for sign in (1, -1):
@@ -190,11 +182,12 @@ def _certify(setup, n, m, rows, what):
             raise InternalInconsistency(f"{what} fails an endpoint condition")
 
 
-def _endpoint_solve(setup, n, m):
+def _endpoint_solve(side, n, m):
     """The profile at c = n/m from its Taylor recursion, in integers.
 
-    n and m are ints for one ray, or n = c as an IntPoly and m = 1 for every
-    ray of a setup.  The z^k coefficient of the ODE, for F = sum F_k z^k, is
+    side is _right_side(p, a, s, x); n and m are ints for one ray, or n = c
+    as an IntPoly and m = 1 for every ray of a setup.  The z^k coefficient of
+    the ODE, for F = sum F_k z^k, is
         (k+2)(k+1) F_(k+2) = r_k - c^2 (k-p)(k-p+1) F_k - 2c (k+1)(k+1-p) F_(k+1)
     with r_k that of the right side.  With L from _right_side,
     H_k = m^k k! L F_k obeys, over Z,
@@ -206,11 +199,12 @@ def _endpoint_solve(setup, n, m):
     W (1, H_0, H_1, A1, A2) = 0, with kernel v_i = (-1)^i det(W less column i).
     The five determinants share, by Laplace, the ten 2x2 minors of the value
     rows and the ten of the slope rows.  v_0 != 0 for |c| < 1 (module
-    docstring).  Returns (v, G, L) with G_k = sum_i v_i H_(k,i), so that
-    A1 = v_3/v_0, A2 = v_4/v_0 and F_k = G_k/(v_0 m^k k! L).
+    docstring).  With G_k = sum_i v_i H_(k,i), so F_k = G_k/(v_0 m^k k! L),
+    the rows (D, P1, P2, P_k) = -(L w_0 v_0, L w_0 v_3, L w_0 v_4, w_k G_k),
+    w_k = (p!/k!) m^(p-k), are one multiple of (1, A1, A2, F_k).
     """
-    p = setup.p
-    L, Lx, right = _right_side(setup)
+    L, Lx, right = side
+    p = len(right) - 1
     n2, m2 = n * n, m * m
     H = [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
     for k, (t0, t1, t2, b1, b2) in enumerate(right[:p - 1]):
@@ -235,57 +229,69 @@ def _endpoint_solve(setup, n, m):
                + mv[k1, k4] * ms[k2, k3] + mv[k2, k3] * ms[k1, k4]
                - mv[k2, k4] * ms[k1, k3] + mv[k3, k4] * ms[k1, k2])
         v.append(-det if i % 2 else det)
-    return v, [sum(hi * vi for hi, vi in zip(h, v)) for h in H], L
+    return ([-L * w[0] * v[i] for i in (0, 3, 4)]
+            + [-wk * sum(hi * vi for hi, vi in zip(h, v)) for wk, h in zip(w, H)])
+
+
+def _read(c, p, rows):
+    """The ExtremalProfile at c of integer rows (D, P1, P2, P_0..P_p)."""
+    D, P1, P2, *P = rows
+    return ExtremalProfile(c=c, F=UniPoly(Fraction(Pk, D) for Pk in P),
+                           A1=Fraction(P1, D), A2=Fraction(P2, D), p=p)
 
 
 def compute_profile(setup, c):
-    """The profile of the ray at parameter c, by _endpoint_solve, certified
-    exactly against the endpoint conditions and the ODE by _certify."""
+    """The profile of the ray at parameter c: the rows of _endpoint_solve,
+    divided by their content, certified by _certify and read off by _read."""
     if not isinstance(setup, ProductSetup):
         raise DomainError("compute_profile needs a ProductSetup")
     c = Fraction(c)
     if abs(c) >= 1:
         raise DomainError(f"ray parameter must satisfy |c| < 1, got {c}")
-    m = c.denominator
-    v, G, L = _endpoint_solve(setup, c.numerator, m)
-    A1, A2 = Fraction(v[3], v[0]), Fraction(v[4], v[0])
-    F = UniPoly(Fraction(g, v[0] * m ** k * factorial(k) * L) for k, g in enumerate(G))
-    _certify(setup, c.numerator, m, _cleared([[1, A1, A2, *F.coeffs]])[0],
-             f"profile at c={c}")
-    return ExtremalProfile(c=c, F=F, A1=A1, A2=A2, p=setup.p)
+    side = _right_side(setup.p, setup.a, setup.s, setup.x)
+    rows = _endpoint_solve(side, c.numerator, c.denominator)
+    content = gcd(*rows)
+    rows = [row // content for row in rows]
+    _certify(side, c.numerator, c.denominator, rows, f"profile at c={c}")
+    return _read(c, setup.p, rows)
 
 
 class ProfileTable:
     """Every profile of one setup, as F(z; c) = P(z, c)/D(c) with (A1, A2) =
     (P1(c), P2(c))/D(c), certified on construction.
 
-    D, P1 and P2 are polynomials in c, and P is the list of the z-coefficients
-    P_0..P_p of P(z, c), each a polynomial in c.  The constructor checks, as
-    identities in Z[c] on the integer rows that profile_at evaluates, the ODE
-    times D, coefficient by coefficient (its z^k coefficient is
+    The table is its integer rows (D, P1, P2, P_0..P_p), IntPolys in c, P_k
+    the z^k coefficient of P(z, c).  The constructor checks, as identities in
+    Z[c], the ODE times D, coefficient by coefficient (its z^k coefficient is
         c^2 (k-p)(k-p+1) P_k + 2c (k+1)(k+1-p) P_(k+1) + (k+2)(k+1) P_(k+2)
             = [D (cz+1)^2 (2a(1+xz) + 2sx) - (P1 z + P2)(1 + xz)]_k),
     P(+-1, c) = 0 and P_z(+-1, c) = -+2(1+-x) D; InternalInconsistency if not.
 
     These identities make the table exact at every |c| < 1: profile_table's
-    D is minus the endpoint determinant, nonzero there (module docstring), and
-    divided by D(c) they are the ODE and the endpoint conditions for
-    F = P(., c)/D(c) with (A1, A2) = (P1, P2)/D, which fix F uniquely.  The
-    tests pin D to the moment form (1-c^2)^(2p-2) (alpha1^2 - alpha0 alpha2).
-
-    The rows scale every polynomial by one integer, so a ray c = n/m costs
-    one dot product with n^j m^(N-j) per row (N the largest degree) and one
-    division by the value of D per output.
+    D is a positive multiple of minus the endpoint determinant, nonzero there
+    (module docstring), and divided by D(c) they are the ODE and the endpoint
+    conditions for F = P(., c)/D(c) with (A1, A2) = (P1, P2)/D, which fix F
+    uniquely.  D, P1, P2 and P are UniPolys built on demand, the rows times
+    scale (the tests pin profile_table's D to (1-c^2)^(2p-2) (alpha1^2 -
+    alpha0 alpha2)).  A ray c = n/m costs _read and one dot product with
+    n^j m^(N-j) per row, N the largest degree.
     """
 
-    def __init__(self, setup, D, P1, P2, P):
+    def __init__(self, setup, rows, scale=1):
         self.setup = setup
-        self.D, self.P1, self.P2, self.P = D, P1, P2, tuple(P)
-        polys = (D, P1, P2) + self.P
-        self._degree = max(poly.degree for poly in polys)
-        self._rows = _cleared([poly.coeffs for poly in polys])
-        _certify(setup, IntPoly((0, 1)), 1, [IntPoly(row) for row in self._rows],
-                 f"profile table for p={setup.p}")
+        self._rows = tuple(rows)
+        self._scale = Fraction(scale)
+        self._degree = max(row.degree for row in self._rows)
+        _certify(_right_side(setup.p, setup.a, setup.s, setup.x), IntPoly((0, 1)), 1,
+                 self._rows, f"profile table for p={setup.p}")
+
+    def _field(self, i):
+        return UniPoly(self._scale * v for v in self._rows[i].coeffs)
+
+    D = property(lambda self: self._field(0))
+    P1 = property(lambda self: self._field(1))
+    P2 = property(lambda self: self._field(2))
+    P = property(lambda self: tuple(map(self._field, range(3, len(self._rows)))))
 
     def profile_at(self, c):
         """The profile of the ray at parameter c, read off the table."""
@@ -294,11 +300,8 @@ class ProfileTable:
             raise DomainError(f"ray parameter must satisfy |c| < 1, got {c}")
         n, m, N = c.numerator, c.denominator, self._degree
         weights = [n ** j * m ** (N - j) for j in range(N + 1)]
-        d, a1, a2, *coeffs = (sum(v * w for v, w in zip(row, weights))
-                              for row in self._rows)
-        return ExtremalProfile(c=c, F=UniPoly(Fraction(v, d) for v in coeffs),
-                               A1=Fraction(a1, d), A2=Fraction(a2, d),
-                               p=self.setup.p)
+        return _read(c, self.setup.p, [sum(v * w for v, w in zip(row.coeffs, weights))
+                                       for row in self._rows])
 
 
 def profile_table(setup):
@@ -306,18 +309,18 @@ def profile_table(setup):
 
     _endpoint_solve runs once over Z[c], with n = c and m = 1.  In the Taylor
     basis (F_0, F_1, A1, A2), with the endpoint conditions unscaled, the 4x4
-    determinant is -D and the Cramer numerators of A1 and A2 are -P1 and -P2;
-    the solve scales them all by (p!)^4 L^2, divided out here.  P_k = D F_k
-    comes from the same kernel vector, and no degree bound is assumed.
+    determinant is -D, the Cramer numerators of A1 and A2 are -P1 and -P2,
+    and P_k = D F_k.  Its rows are D, P1, P2 and P times (p!)^5 L^3; divided
+    by their content, the table's scale is content / ((p!)^5 L^3).  No degree
+    bound is assumed.
     """
     if not isinstance(setup, ProductSetup):
         raise DomainError("profile_table needs a ProductSetup")
-    v, G, L = _endpoint_solve(setup, IntPoly((0, 1)), 1)
-    kappa = -factorial(setup.p) ** 4 * L * L
-    D, P1, P2 = (UniPoly(Fraction(a, kappa) for a in v[i].coeffs) for i in (0, 3, 4))
-    P = [UniPoly(Fraction(a, kappa * factorial(k) * L) for a in g.coeffs)
-         for k, g in enumerate(G)]
-    return ProfileTable(setup, D, P1, P2, P)
+    side = _right_side(setup.p, setup.a, setup.s, setup.x)
+    rows = _endpoint_solve(side, IntPoly((0, 1)), 1)
+    content = gcd(*(v for row in rows for v in row.coeffs))
+    return ProfileTable(setup, [IntPoly(v // content for v in row.coeffs) for row in rows],
+                        Fraction(content, factorial(setup.p) ** 5 * side[0] ** 3))
 
 
 def cscS_check(profile):

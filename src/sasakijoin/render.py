@@ -186,23 +186,28 @@ def dump_json(doc):
 
 
 def write_atomic(path, text):
-    """Write text to path through a temporary file in the same directory.
+    """Write text to path through a temporary file next to its resolved
+    target, which it replaces, so a symlink stays a link.
 
     The file gets the mode a plain open() would create it with, 0o666 less
-    the umask, not mkstemp's 0o600.  A path that cannot be written is a
-    DomainError, and no temporary file is left behind.
+    the umask, not mkstemp's 0o600.  A path that cannot be written, or that
+    exists and is not a regular file, is a DomainError, and no temporary
+    file is left behind.
     """
     umask = os.umask(0)
     os.umask(umask)
     tmp = None
     try:
-        directory = os.path.dirname(os.path.abspath(path))
+        target = os.path.realpath(path)
+        if os.path.exists(target) and not os.path.isfile(target):
+            raise DomainError(f"cannot write {path}: not a regular file")
+        directory = os.path.dirname(target)
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-out-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
     finally:

@@ -16,7 +16,7 @@ from typing import Tuple
 
 from .errors import DomainError, InternalInconsistency
 from .exactmath import IntPoly, MultiPoly, UniPoly, isolate_roots
-from .profile import _cleared, _ode_map, _right_side, compute_profile
+from .profile import _certify, _ode_map, _right_side, compute_profile
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ def _twin_equations(setup, F):
     with x = xn/xd, the last row xn^2 E0 - xn xd E1 + xd^2 E2 is xd^2 times
     its value at z = -1/x.
     """
-    D, *P = _cleared([[1, *F.coeffs]])[0]
-    L, _, right = _right_side(setup)
-    E = [IntPoly(e) for e in _ode_map(setup.p, L, right, D, P)]
+    D, *P = IntPoly.from_unipoly(UniPoly([1, *F.coeffs])).coeffs
+    L, _, right = _right_side(setup.p, setup.a, setup.s, setup.x)
+    E = [IntPoly(e) for e in _ode_map(L, right, D, P)]
     xn, xd = setup.x.numerator, setup.x.denominator
     return E[:2:-1] + [xn * xn * E[0] - xn * xd * E[1] + xd * xd * E[2]]
 
@@ -110,9 +110,11 @@ def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
 def cp1_profile(k_scal, c):
     """Closed-form profile data for the weight-4 sphere-bundle case.
 
-    Returns {"H": UniPoly, "A": Rational, "B": Rational}; the closed forms
-    are re-verified internally against the endpoint conditions and the p = 4
-    ODE with right-hand side k(1+cz)^2 - Az - B.
+    Returns {"H": UniPoly, "A": Rational, "B": Rational}, the profile of the
+    p = 4 ODE with right-hand side k(1+cz)^2 - Az - B and the endpoint
+    conditions of x = 0.  That is the profile ODE at p = 4, x = 0 and
+    a = k/2, s = 0 (so s0 = k, s1 = 0) with (A1, A2) = (A, B), so the closed
+    forms are certified by profile._certify on (1, A, B, H) cleared.
     """
     k = Fraction(k_scal)
     c = Fraction(c)
@@ -122,32 +124,24 @@ def cp1_profile(k_scal, c):
         raise DomainError(f"k_scal must be negative, got {k}")
     if 12 - (2 - k) * c * c <= 0:
         raise DomainError(f"positivity fails: 12 - (2 - k)c^2 <= 0 at k={k}, c={c}")
-    z = UniPoly.variable()
-    one_minus_z2 = 1 - z * z
-    H = one_minus_z2 * (4 * (3 - c * c) + (k + 2) * c * c * one_minus_z2) / (4 * (3 - c * c))
+    # H = (1 - z^2)(1 + q (1 - z^2))
+    q = (k + 2) * c * c / (4 * (3 - c * c))
+    H = UniPoly((1 + q, 0, -1 - 2 * q, 0, q))
     A = 6 * c * (c * c * k - k + 4) / (c * c - 3)
     B = 3 * (c ** 4 * k - 2 * c ** 4 + 12 * c * c - k - 2) / (c * c - 3)
-    dH = H.derivative()
-    if H(1) != 0 or H(-1) != 0 or dH(1) != -2 or dH(-1) != 2:
-        raise InternalInconsistency("closed-form H violates endpoint conditions")
-    w = c * z + 1
-    residual = (w * w * dH.derivative() - 6 * c * w * dH + 12 * c * c * H
-                - (k * w * w - A * z - UniPoly.constant(B)))
-    if residual:
-        raise InternalInconsistency("closed-form H violates the weight-4 ODE")
+    _certify(_right_side(4, k / 2, 0, 0), c.numerator, c.denominator,
+             IntPoly.from_unipoly(UniPoly([1, A, B, *H.coeffs])).coeffs,
+             f"closed-form H at k={k}, c={c}")
     return {"H": H, "A": A, "B": B}
 
 
 def cp1_twins(k_scal, c):
     """Partners of c in the weight-4 case: {-c}, a continuum, or none."""
     cp1_profile(k_scal, c)
-    k = Fraction(k_scal)
-    c = Fraction(c)
-    if k == -2:
+    if Fraction(k_scal) == -2:
         return "continuum"
-    if c == 0:
-        return ()
-    return (-c,)
+    c = Fraction(c)
+    return (-c,) if c else ()
 
 
 @dataclass(frozen=True)

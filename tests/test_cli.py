@@ -192,6 +192,34 @@ def test_unwritable_out_path_exits_one(capsys, tmp_path, target):
     assert not list(tmp_path.rglob(".tmp-out-*"))
 
 
+def test_symlinked_out_path_writes_through_the_link(capsys, tmp_path):
+    # the temporary file goes next to the resolved target, which it replaces
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "doc.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, _ = run_cli(capsys, ["join", "--l1", "1", "--l2", "2", "--out", str(link)])
+    assert code == 0 and out == ""
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["command"] == "join"
+    assert not list(tmp_path.rglob(".tmp-out-*"))
+
+
+def test_out_path_that_is_not_a_regular_file_exits_one(capsys, tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    link = tmp_path / "link"
+    link.symlink_to(fifo)
+    for path in (str(fifo), str(link)):
+        code, out, err = run_cli(capsys, ["join", "--l1", "1", "--l2", "2", "--out", path])
+        assert code == 1
+        assert out == ""
+        assert err == f"configuration error: cannot write {path}: not a regular file\n"
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and link.is_symlink()
+    assert not list(tmp_path.rglob(".tmp-out-*"))
+
+
 def test_scan_to_stdout(capsys):
     code, out, _ = run_cli(capsys, ["scan", *NO_CSC_FLAGS, "--grid-n", "8"])
     assert code == 0

@@ -1,9 +1,16 @@
-"""Every exported name resolves, so a removal cannot leave a dangling export."""
+"""Every exported name resolves, so a removal cannot leave a dangling export;
+nor can it leave the benchmark's tracer with a function it no longer finds."""
+
+import importlib
+import runpy
+from pathlib import Path
 
 import pytest
 
 import sasakijoin
 import sasakijoin.exactmath
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("module", [sasakijoin, sasakijoin.exactmath],
@@ -11,3 +18,18 @@ import sasakijoin.exactmath
 def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def test_every_traced_function_resolves():
+    # a function the tracer names and the package lacks reads null in the
+    # benchmark's metrics, so removing or renaming one fails here first
+    tracer = runpy.run_path(str(TRACER))
+    named = [(module, attr) for _, module, attr in tracer["TIMED"] + tracer["COUNTED"]]
+    named += [("render", attr) for attr in tracer["RENDER"]]
+    missing = [f"{module}.{attr}" for module, attr in named
+               if not callable(getattr(importlib.import_module(f"sasakijoin.{module}"),
+                                       attr, None))]
+    assert not missing
+    # evaluation is counted through UniPoly.__call__ (getattr would also find
+    # type.__call__, which every class has)
+    assert "__call__" in vars(sasakijoin.exactmath.UniPoly)

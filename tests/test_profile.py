@@ -23,8 +23,8 @@ from sasakijoin import (
     solve_A,
 )
 from sasakijoin.errors import DomainError, InternalInconsistency
-from sasakijoin.exactmath import solve_exact
-from sasakijoin.profile import _certify, _cleared, cleared_beta, cleared_moment
+from sasakijoin.exactmath import IntPoly, solve_exact
+from sasakijoin.profile import _certify, _right_side, cleared_beta, cleared_moment
 from support import (
     ONE_MINUS_Z2,
     cleared_moment_cramer,
@@ -272,34 +272,34 @@ def test_table_affine_coefficients_match_solve_A():
 
 def test_table_certificate_rejects_a_changed_coefficient():
     setup = random_setup(random.Random(61), d=2)
-    table = profile_table(setup)
-    # the untouched data certifies again
-    ProfileTable(setup, table.D, table.P1, table.P2, table.P)
+    rows = profile_table(setup)._rows
+    # the untouched rows certify again
+    ProfileTable(setup, rows)
     for k in range(setup.p + 1):
-        coeffs = list(table.P[k].coeffs)
+        coeffs = list(rows[3 + k].coeffs)
         coeffs[k % len(coeffs)] += 1
-        tampered = list(table.P)
-        tampered[k] = UniPoly(coeffs)
+        tampered = list(rows)
+        tampered[3 + k] = IntPoly(coeffs)
         with pytest.raises(InternalInconsistency):
-            ProfileTable(setup, table.D, table.P1, table.P2, tampered)
+            ProfileTable(setup, tampered)
 
 
 def test_table_certificate_rejects_a_kernel_shift():
     # adding D (cz+1)^(p-1), a kernel element of the ODE operator, keeps the
     # ODE identities and breaks only the endpoint conditions
     setup = random_setup(random.Random(71), d=2)
-    table = profile_table(setup)
+    D, P1, P2, *P = profile_table(setup)._rows
     p = setup.p
-    shifted = [Pk + comb(p - 1, k) * UniPoly([0] * k + [1]) * table.D
-               for k, Pk in enumerate(table.P)]
+    shifted = [Pk + comb(p - 1, k) * IntPoly([0] * k + [1]) * D for k, Pk in enumerate(P)]
     with pytest.raises(InternalInconsistency, match="endpoint"):
-        ProfileTable(setup, table.D, table.P1, table.P2, shifted)
+        ProfileTable(setup, [D, P1, P2, *shifted])
 
 
 def _certify_ray(setup, c, F_, A1, A2):
     # the per-ray certificate of compute_profile, on (1, A1, A2, F) cleared
-    _certify(setup, c.numerator, c.denominator, _cleared([[1, A1, A2, *F_.coeffs]])[0],
-             f"profile at c={c}")
+    rows = IntPoly.from_unipoly(UniPoly([1, A1, A2, *F_.coeffs])).coeffs
+    _certify(_right_side(setup.p, setup.a, setup.s, setup.x), c.numerator, c.denominator,
+             rows, f"profile at c={c}")
 
 
 @pytest.mark.parametrize("c", [F(-3, 7), F(11, 13)])
@@ -333,10 +333,9 @@ def test_certificates_reject_doubled_slopes():
     setup = make_setup(d=2, a=F(7, 3), genus_g2=2, degree_k=3, x=F(2, 7))
     doubled = make_setup(d=2, a=F(14, 3), genus_g2=3, degree_k=3, x=F(2, 7))
     assert doubled.s == 2 * setup.s
-    table = profile_table(setup)
+    D, *rest = profile_table(setup)._rows
     with pytest.raises(InternalInconsistency, match="endpoint"):
-        ProfileTable(doubled, table.D, 2 * table.P1, 2 * table.P2,
-                     [2 * Pk for Pk in table.P])
+        ProfileTable(doubled, [D, *(2 * row for row in rest)])
     for c in (F(-3, 7), F(11, 13)):
         prof = compute_profile(setup, c)
         with pytest.raises(InternalInconsistency, match="endpoint"):

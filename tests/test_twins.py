@@ -20,8 +20,9 @@ from sasakijoin import (
     toric_weighted_scal,
     twin_weights,
 )
-from sasakijoin.exactmath import solve_exact
-from sasakijoin.errors import DomainError, SingularSystem
+from sasakijoin.exactmath import IntPoly, solve_exact
+from sasakijoin.errors import DomainError, InternalInconsistency, SingularSystem
+from sasakijoin.profile import _certify, _right_side
 from sasakijoin.twins import _twin_equations
 from support import (
     ONE_MINUS_Z2,
@@ -236,6 +237,35 @@ def test_cp1_profile_matches_independent_solve():
         assert out["H"] == H
         assert out["A"] == A
         assert out["B"] == B
+
+
+CP1_GRID = ((-4, F(1, 2)), (-2, F(1, 3)), (-6, F(-2, 5)), (F(-7, 2), F(0)), (-1, F(-9, 10)))
+
+
+def _certify_cp1(k, c, H, A, B):
+    # cp1_profile's certificate: the profile ODE at p = 4, x = 0, a = k/2, s = 0
+    rows = IntPoly.from_unipoly(UniPoly([1, A, B, *H.coeffs])).coeffs
+    _certify(_right_side(4, F(k) / 2, 0, 0), c.numerator, c.denominator, rows,
+             f"closed-form H at k={k}, c={c}")
+
+
+@pytest.mark.parametrize("k, c", CP1_GRID)
+def test_cp1_certificate_fires(k, c):
+    out = cp1_profile(k, c)
+    H, A, B = out["H"], out["A"], out["B"]
+    _certify_cp1(k, c, H, A, B)
+    for tampered in ((H, A + 1, B), (H, A, 2 * B + 1)):
+        with pytest.raises(InternalInconsistency):
+            _certify_cp1(k, c, *tampered)
+    for i in range(5):
+        coeffs = [H.coefficient(j) for j in range(5)]
+        coeffs[i] += 1
+        with pytest.raises(InternalInconsistency):
+            _certify_cp1(k, c, UniPoly(coeffs), A, B)
+    # twice the profile solves the ODE with k doubled and meets H(+-1) = 0,
+    # but its slopes are twice the targets
+    with pytest.raises(InternalInconsistency, match="endpoint"):
+        _certify_cp1(2 * k, c, 2 * H, 2 * A, 2 * B)
 
 
 def test_cp1_mirror_symmetry_and_rigidity():
