@@ -5,6 +5,9 @@ reads every ray it classifies off the table in integer arithmetic, with no
 per-ray solve: the grid points, the bisection midpoints and the ends of the
 cscS root brackets.  Extremality is then decided exactly by a Sturm count
 over the integers, on F cleared of its denominators and divided by 1-z^2.
+A grid ray's F goes into the report, so it is read with profile_at; the
+midpoints and root ends need only the verdict, and take sign(D) P straight
+from the table's integer rows, with no Fraction.
 Each extremal/non-extremal transition between grid points is bisected down
 to a bracket of width <= boundary_width.  Regions are reported with bracket
 endpoints, since the exact boundary between certified sample points is not
@@ -71,15 +74,20 @@ class ConeScanReport:
 _ONE_MINUS_Z2 = IntPoly((1, 0, -1))
 
 
+def _positive_inside(P):
+    """True iff P, a profile times a positive factor in Z[z], is positive on
+    (-1, 1), i.e. P/(1-z^2) is; the division is exact over Z (InexactDivision
+    otherwise), so the Sturm test runs on an integer polynomial."""
+    return is_positive_on_open(P.exact_div(_ONE_MINUS_Z2), Fraction(-1), Fraction(1))
+
+
 def is_extremal(F):
     """True iff the profile F is positive on (-1, 1), i.e. F/(1-z^2) is.
 
-    F's denominators are cleared once, by a positive factor, and the division
-    by 1-z^2 is exact over Z (InexactDivision otherwise), so the Sturm test
-    runs on an integer polynomial and makes no Fraction.
+    F's denominators are cleared once, by a positive factor, so the test
+    makes no Fraction.
     """
-    cofactor = IntPoly.from_unipoly(F).exact_div(_ONE_MINUS_Z2)
-    return is_positive_on_open(cofactor, Fraction(-1), Fraction(1))
+    return _positive_inside(IntPoly.from_unipoly(F))
 
 
 def _classify(prof):
@@ -101,7 +109,10 @@ def slope(c):
 
 
 def _is_extremal_at(table, c):
-    return is_extremal(table.profile_at(c).F)
+    """is_extremal at the ray c, read off the table's integer rows: sign(D) P
+    is F times a positive factor."""
+    D, _, _, *P = table._rows_at(c)
+    return _positive_inside((IntPoly(P) if D > 0 else -IntPoly(P)).primitive())
 
 
 def _bisect_transition(table, lo, hi, lo_extremal, boundary_width):

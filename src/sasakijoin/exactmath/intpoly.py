@@ -6,8 +6,11 @@ int scaling.  On top of them are derivative, content and primitive part, the
 pseudo-remainder with a positive multiplier, the package's one remainder
 sequence (the primitive PRS of Collins and Brown-Traub, read by Sturm chains
 and gcds alike), exact division, and homogeneous evaluation, whose sign is the
-sign of the value at a rational point.  Staying in Z skips the gcd that every
-Fraction operation pays; from_unipoly and UniPoly(poly.coeffs) convert.
+sign of the value at a rational point, given as a Fraction or as an integer
+pair n, m > 0 not necessarily in lowest terms.  Staying in Z skips the gcd
+that every Fraction operation pays; from_unipoly and UniPoly(poly.coeffs)
+convert.  The cscS numerator is built with IntPolys, and root isolation
+bisects on integer numerators.
 """
 
 from math import gcd, lcm
@@ -134,10 +137,12 @@ class IntPoly:
             raise InexactDivision(f"{self.coeffs!r} is not divisible by {b!r} over Z")
         return IntPoly(q)
 
-    def homogeneous(self, t):
-        """m^deg self(t) for a rational t = n/m in lowest terms, m > 0: an int
-        with the sign of self(t)."""
-        n, m = t.numerator, t.denominator
+    def homogeneous(self, n, m=None):
+        """m^deg self(n/m) for ints n and m > 0, in lowest terms or not: an
+        int with the sign of self(n/m).  With m omitted, n is a rational read
+        in lowest terms, so the value is den(n)^deg self(n)."""
+        if m is None:
+            n, m = n.numerator, n.denominator
         acc, mk = 0, 1
         for u in reversed(self.coeffs):
             acc = acc * n + u * mk

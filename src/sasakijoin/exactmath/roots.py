@@ -61,8 +61,8 @@ def _sturm_chain(p):
     return p.remainder_sequence(p.derivative())
 
 
-def _variations(chain, t):
-    signs = [v > 0 for v in (q.homogeneous(t) for q in chain) if v]
+def _variations(chain, n, m=None):
+    signs = [v > 0 for v in (q.homogeneous(n, m) for q in chain) if v]
     return sum(1 for s, u in zip(signs, signs[1:]) if s != u)
 
 
@@ -148,6 +148,14 @@ def isolate_roots(p, lo, hi, width):
     factor may be negative, since the last term's sign is not fixed, but every
     sign test here (bisection, the nudge off a root, identify_rational_root)
     compares two signs of sf, so the result does not depend on it.
+
+    The bisection runs on integers.  Each bracket is (a/d, b/d), two integer
+    numerators over one shared denominator d > 0: a split point a + (b-a) t/u
+    is (a u + (b-a) t)/(d u), and the bracket moves to the denominator d u.
+    Signs and Sturm variations are read at n/m without reducing it, since
+    m^deg q(n/m) has the sign of q(n/m) for every m > 0 (IntPoly.homogeneous).
+    The width test and the comparisons with lo and hi are cross-multiplied,
+    and Fractions are built only for the returned ends.
     """
     lo, hi, w, chain = _prepare(p, lo, hi, "isolation")
     width = Fraction(width)
@@ -156,21 +164,27 @@ def isolate_roots(p, lo, hi, width):
     g = chain[-1]
     # a primitive divisor of w over Q divides it over Z (Gauss's lemma)
     sf = w.exact_div(g.primitive()) if g.degree >= 1 else w
+    # lo = a0/d0 and hi = b0/d0; every bracket below is (a/d, b/d), d > 0
+    d0 = math.lcm(lo.denominator, hi.denominator)
+    a0, b0 = lo.numerator * (d0 // lo.denominator), hi.numerator * (d0 // hi.denominator)
+    wn, wd = width.numerator, width.denominator
     out = []
-    # (a, b, Sturm variations at a and b, sf(a) scaled); the left half is
-    # refined first and the right one waits on the stack, so roots come out
-    # in order
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi),
-              sf.homogeneous(lo))]
+    # (a, b, d, Sturm variations at a/d and b/d, sf(a/d) scaled); the left
+    # half is refined first and the right one waits on the stack, so roots
+    # come out in order
+    stack = [(a0, b0, d0, _variations(chain, a0, d0), _variations(chain, b0, d0),
+              sf.homogeneous(a0, d0))]
     while stack:
-        a, b, va, vb, fa = stack.pop()
-        while va - vb > 1 or (va - vb == 1 and b - a > width):
-            m, k = (a + b) / 2, 3
-            fm = sf.homogeneous(m)
+        a, b, d, va, vb, fa = stack.pop()
+        while va - vb > 1 or (va - vb == 1 and (b - a) * wd > wn * d):
+            # split at a + (b-a) t/u: the midpoint, or nudged off a root of sf
+            # to the offsets k/(2k+1), which are all distinct
+            t, u, k = 1, 2, 3
+            fm = sf.homogeneous(a + b, 2 * d)
             while fm == 0:
-                # nudge the split point off a root; offsets k/(2k+1) are all distinct
-                m, k = a + (b - a) * Fraction(k, 2 * k + 1), k + 1
-                fm = sf.homogeneous(m)
+                t, u, k = k, 2 * k + 1, k + 1
+                fm = sf.homogeneous(a * u + (b - a) * t, d * u)
+            a, b, d, m = a * u, b * u, d * u, a * u + (b - a) * t
             if va - vb == 1:
                 # one simple root, and sf(a) != 0: the sign of sf(m) decides
                 if (fm > 0) == (fa > 0):
@@ -178,24 +192,26 @@ def isolate_roots(p, lo, hi, width):
                 else:
                     b = m
             else:
-                vm = _variations(chain, m)
-                stack.append((m, b, vm, vb, fm))
+                vm = _variations(chain, m, d)
+                stack.append((m, b, d, vm, vb, fm))
                 b, vb = m, vm
         if va - vb != 1:
             continue
         # a bracket of a coarse width can still end at lo or hi
-        while a == lo or b == hi:
-            m = (a + b) / 2
-            fm = sf.homogeneous(m)
+        while a * d0 == a0 * d or b * d0 == b0 * d:
+            a, b, d, m = 2 * a, 2 * b, 2 * d, a + b
+            fm = sf.homogeneous(m, d)
             if fm == 0:
-                # landed on the (rational) root: rebuild a bracket inside
-                off = min(m - lo, hi - m, b - a) / 4
-                a, b = m - off, m + off
+                # landed on the (rational) root: rebuild a bracket inside, off
+                # it by a quarter of the least of m - lo, hi - m and b - a
+                off = min(m * d0 - a0 * d, b0 * d - m * d0, (b - a) * d0)
+                a, b, d = 4 * m * d0 - off, 4 * m * d0 + off, 4 * d * d0
                 break
             if (fm > 0) == (fa > 0):
                 a, fa = m, fm
             else:
                 b = m
+        a, b = Fraction(a, d), Fraction(b, d)
         out.append(RootInterval(a, b, "exact",
                                 exact_value=identify_rational_root(sf, a, b)))
     return out

@@ -34,8 +34,7 @@ from itertools import combinations
 from math import comb, factorial, gcd, lcm
 
 from .errors import DomainError, InternalInconsistency
-from .exactmath import (IntPoly, UniPoly, exact_divide, integrate_weighted_monomial,
-                        solve_2x2)
+from .exactmath import IntPoly, UniPoly, integrate_weighted_monomial, solve_2x2
 from .joinsetup import ProductSetup
 
 
@@ -78,43 +77,33 @@ def _binomial_product(n, k):
 
 
 def _cleared_parts(r, q, k):
-    """(U, V) with (1-c^2)^k * int_{-1}^{1} t^r (ct+1)^q (1+xt) dt = x U + V.
+    """(E, U, V), E > 0 an int and U, V IntPolys, with
+    E (1-c^2)^k int_{-1}^{1} t^r (ct+1)^q (1+xt) dt = x U + V.
 
     With u = ct+1 the integrand is u^q (u-1)^r (xu + c - x) / c^(r+2) du on
     [1-c, 1+c]; each power u^(e-1) integrates to ((1+c)^e - (1-c)^e)/e, and
     cleared by (1-c^2)^k that is twice the odd part of (1+c)^(k+e) (1-c)^k,
-    over e.  The callers keep r <= 2, every e nonzero and k+e >= 0, so all of
-    it is polynomial.  The removable c^(r+2) is divided out exactly.
+    over e.  E = lcm(|e|) clears every 1/e.  The callers keep r <= 2, every e
+    nonzero and k+e >= 0, so all of it is polynomial: the c^(r+2) is
+    removable, its low coefficients are checked to be zero, and dividing it
+    out is a slice.
     """
     # coefficients of (u-1)^r; the trailing 0 also serves as ups[-1]
     ups = [(-1) ** (r - i) * comb(r, i) for i in range(r + 1)] + [0]
+    es = [q + j + 1 for j in range(r + 2)]
+    E = lcm(*es)
     size = 2 * k + q + r + 4
-    U, V = [Fraction(0)] * size, [Fraction(0)] * size
-    for j in range(r + 2):
+    U, V = [0] * size, [0] * size
+    for j, e in enumerate(es):
         # u^j in (u-1)^r (xu + c - x) has coefficient x (ups[j-1] - ups[j]) + c ups[j]
-        e = q + j + 1
+        f = 2 * E // e
         product = _binomial_product(k + e, k)
         for i in range(1, len(product), 2):
-            U[i] += Fraction(2 * (ups[j - 1] - ups[j]) * product[i], e)
-            V[i + 1] += Fraction(2 * ups[j] * product[i], e)
-    monomial = UniPoly([0] * (r + 2) + [1])
-    return exact_divide(UniPoly(U), monomial), exact_divide(UniPoly(V), monomial)
-
-
-def cleared_moment(r, q, x, k):
-    """(1-c^2)^k * int_{-1}^{1} t^r (ct+1)^q (1+xt) dt as a polynomial in c."""
-    U, V = _cleared_parts(r, q, k)
-    return x * U + V
-
-
-def cleared_beta(setup, r, q, k):
-    """(1-c^2)^k * beta(setup, c, r, q) as a polynomial in c, for k + q >= 0."""
-    a, x = setup.a, setup.x
-    U, V = _cleared_parts(r, q, k)
-    product = _binomial_product(k + q, k)
-    boundary = UniPoly(coeff * ((1 + x) + (-1) ** (r + i) * (1 - x))
-                       for i, coeff in enumerate(product))
-    return a * x * U + (a + setup.s * x) * V + boundary
+            U[i] += f * (ups[j - 1] - ups[j]) * product[i]
+            V[i + 1] += f * ups[j] * product[i]
+    if any(U[:r + 2]) or any(V[:r + 2]):
+        raise InternalInconsistency(f"cleared moment ({r}, {q}, {k}) has a pole at c = 0")
+    return E, IntPoly(U[r + 2:]), IntPoly(V[r + 2:])
 
 
 def solve_A(setup, c):
@@ -273,8 +262,8 @@ class ProfileTable:
     conditions for F = P(., c)/D(c) with (A1, A2) = (P1, P2)/D, which fix F
     uniquely.  D, P1, P2 and P are UniPolys built on demand, the rows times
     scale (the tests pin profile_table's D to (1-c^2)^(2p-2) (alpha1^2 -
-    alpha0 alpha2)).  A ray c = n/m costs _read and one dot product with
-    n^j m^(N-j) per row, N the largest degree.
+    alpha0 alpha2)).  A ray c = n/m costs one dot product with n^j m^(N-j)
+    per row, N the largest degree (_rows_at), and _read.
     """
 
     def __init__(self, setup, rows, scale=1):
@@ -293,15 +282,19 @@ class ProfileTable:
     P2 = property(lambda self: self._field(2))
     P = property(lambda self: tuple(map(self._field, range(3, len(self._rows)))))
 
-    def profile_at(self, c):
-        """The profile of the ray at parameter c, read off the table."""
-        c = Fraction(c)
+    def _rows_at(self, c):
+        """The rows (D, P1, P2, P_0..P_p) at the ray c = n/m, a Fraction in
+        lowest terms, times m^N: ints with F = P/D and (A1, A2) = (P1, P2)/D."""
         if abs(c) >= 1:
             raise DomainError(f"ray parameter must satisfy |c| < 1, got {c}")
         n, m, N = c.numerator, c.denominator, self._degree
         weights = [n ** j * m ** (N - j) for j in range(N + 1)]
-        return _read(c, self.setup.p, [sum(v * w for v, w in zip(row.coeffs, weights))
-                                       for row in self._rows])
+        return [sum(v * w for v, w in zip(row.coeffs, weights)) for row in self._rows]
+
+    def profile_at(self, c):
+        """The profile of the ray at parameter c, read off the table."""
+        c = Fraction(c)
+        return _read(c, self.setup.p, self._rows_at(c))
 
 
 def profile_table(setup):

@@ -1,9 +1,11 @@
 """Shared builders and helpers for the test suite."""
 
 from fractions import Fraction
+from math import comb
 
 from sasakijoin import UniPoly, exact_divide, make_setup
-from sasakijoin.profile import cleared_beta, cleared_moment
+from sasakijoin.exactmath.roots import (RootInterval, _prepare, _variations,
+                                        identify_rational_root)
 # the worked examples are built once, by the reproduction suite
 from sasakijoin.reproduce import (  # noqa: F401
     setup_moat,
@@ -82,6 +84,98 @@ def integral_formula_value(setup, c, A1, A2, z0):
                 total += b * (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
         integral = total / c ** 2
     return (c * z0 + 1) ** (p - 1) * (head + integral)
+
+
+def cleared_parts(r, q, k):
+    """(U, V) with (1-c^2)^k * int_{-1}^{1} t^r (ct+1)^q (1+xt) dt = x U + V,
+    in Fraction arithmetic: the oracle of profile._cleared_parts over Z.
+
+    With u = ct+1 the integrand is u^q (u-1)^r (xu + c - x) / c^(r+2) du on
+    [1-c, 1+c]; each power u^(e-1) integrates to ((1+c)^e - (1-c)^e)/e, and
+    cleared by (1-c^2)^k that is twice the odd part of (1+c)^(k+e) (1-c)^k,
+    over e.  The removable c^(r+2) is divided out exactly.
+    """
+    ups = [(-1) ** (r - i) * comb(r, i) for i in range(r + 1)] + [0]
+    size = 2 * k + q + r + 4
+    U, V = [Fraction(0)] * size, [Fraction(0)] * size
+    for j in range(r + 2):
+        e = q + j + 1
+        product = (UniPoly((1, 1)) ** (k + e) * UniPoly((1, -1)) ** k).coeffs
+        for i in range(1, len(product), 2):
+            U[i] += 2 * (ups[j - 1] - ups[j]) * product[i] / e
+            V[i + 1] += 2 * ups[j] * product[i] / e
+    monomial = UniPoly([0] * (r + 2) + [1])
+    return exact_divide(UniPoly(U), monomial), exact_divide(UniPoly(V), monomial)
+
+
+def cleared_moment(r, q, x, k):
+    """(1-c^2)^k * int_{-1}^{1} t^r (ct+1)^q (1+xt) dt as a polynomial in c."""
+    U, V = cleared_parts(r, q, k)
+    return x * U + V
+
+
+def cleared_beta(setup, r, q, k):
+    """(1-c^2)^k * beta(setup, c, r, q) as a polynomial in c, for k + q >= 0."""
+    a, x = setup.a, setup.x
+    U, V = cleared_parts(r, q, k)
+    boundary = (UniPoly((1, 1)) ** k * UniPoly((1, -1)) ** (k + q) * ((-1) ** r * (1 - x))
+                + UniPoly((1, 1)) ** (k + q) * UniPoly((1, -1)) ** k * (1 + x))
+    return a * x * U + (a + setup.s * x) * V + boundary
+
+
+def moment_numerator(setup):
+    """The cscS numerator N from the Fraction cleared moments, by the formula
+    of the condition_numerator docstring."""
+    p, k = setup.p, setup.p - 2
+    V = cleared_moment(0, -(p - 1), setup.x, k)
+    S = cleared_beta(setup, 0, -k, k)
+    return (UniPoly((1, 0, -1)) * ((p - 1) * S.derivative() * V
+                                   - (p - 2) * S * V.derivative())
+            + UniPoly((0, 2 * k)) * S * V) / ((p - 1) * (p - 2))
+
+
+def fraction_isolate_roots(p, lo, hi, width):
+    """isolate_roots with its brackets held as Fractions: the reference for
+    the library's bisection on integer numerators."""
+    lo, hi, w, chain = _prepare(p, lo, hi, "isolation")
+    width = Fraction(width)
+    g = chain[-1]
+    sf = w.exact_div(g.primitive()) if g.degree >= 1 else w
+    out = []
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi), sf.homogeneous(lo))]
+    while stack:
+        a, b, va, vb, fa = stack.pop()
+        while va - vb > 1 or (va - vb == 1 and b - a > width):
+            m, k = (a + b) / 2, 3
+            fm = sf.homogeneous(m)
+            while fm == 0:
+                m, k = a + (b - a) * Fraction(k, 2 * k + 1), k + 1
+                fm = sf.homogeneous(m)
+            if va - vb == 1:
+                if (fm > 0) == (fa > 0):
+                    a, fa = m, fm
+                else:
+                    b = m
+            else:
+                vm = _variations(chain, m)
+                stack.append((m, b, vm, vb, fm))
+                b, vb = m, vm
+        if va - vb != 1:
+            continue
+        while a == lo or b == hi:
+            m = (a + b) / 2
+            fm = sf.homogeneous(m)
+            if fm == 0:
+                off = min(m - lo, hi - m, b - a) / 4
+                a, b = m - off, m + off
+                break
+            if (fm > 0) == (fa > 0):
+                a, fa = m, fm
+            else:
+                b = m
+        out.append(RootInterval(a, b, "exact",
+                                exact_value=identify_rational_root(sf, a, b)))
+    return out
 
 
 def cleared_moment_cramer(setup):

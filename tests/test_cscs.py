@@ -21,6 +21,7 @@ from sasakijoin import (
 from sasakijoin.errors import DomainError, WrongWeight
 from sasakijoin.exactmath import IntPoly, isolate_roots, roots
 from support import (
+    moment_numerator,
     proportional,
     random_c,
     random_setup,
@@ -148,6 +149,15 @@ def test_numerator_degree_can_drop(d, a, g2, k, x, degree):
     _assert_clears_denominator(setup, numerator, random.Random(d))
 
 
+def test_numerator_matches_the_fraction_cleared_moments():
+    rng = random.Random(53)
+    setups = [random_setup(rng, d=p - 4) for p in range(5, 11) for _ in range(2)]
+    setups += [make_setup(d=d, a=a, genus_g2=g2, degree_k=k, x=x)
+               for d, a, g2, k, x, _ in DEGREE_DROPS]
+    for setup in setups:
+        assert condition_numerator(setup) == moment_numerator(setup)
+
+
 # -- certified roots -------------------------------------------------------------
 
 def test_csc_roots_three_root_example():
@@ -229,6 +239,40 @@ def test_isolation_builds_one_remainder_sequence(monkeypatch, d):
     counts["unipoly"] = 0
     assert isolate_roots(IntPoly.from_unipoly(numerator), -1, 1, F(1, 1000)) == ivs
     assert counts["unipoly"] == 0
+
+
+def test_numerator_builds_one_unipoly(monkeypatch):
+    """condition_numerator works over Z and builds only its result."""
+    count, init = [0], UniPoly.__init__
+
+    def counting_init(self, coeffs=()):
+        count[0] += 1
+        init(self, coeffs)
+
+    monkeypatch.setattr(UniPoly, "__init__", counting_init)
+    condition_numerator(make_setup(d=3, a=F(7, 3), genus_g2=2, degree_k=3, x=F(2, 7)))
+    assert count[0] == 1
+
+
+def test_bisection_builds_no_fraction(monkeypatch):
+    """With identification stubbed out, isolating at width 2^-64 builds as
+    many Fractions as at 2^-16: the bisection steps build none."""
+    numerator = IntPoly.from_unipoly(condition_numerator(
+        make_setup(d=1, a=3, genus_g2=2, degree_k=1, x=F(1, 2))))
+    count, new = [0], Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(roots, "identify_rational_root", lambda p, lo, hi: None)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    counts = []
+    for width in (F(1, 2 ** 16), F(1, 2 ** 64)):
+        count[0] = 0
+        ivs = isolate_roots(numerator, -1, 1, width)
+        counts.append(count[0])
+    assert ivs and counts[0] == counts[1]
 
 
 def test_csc_roots_rejects_nonpositive_width():

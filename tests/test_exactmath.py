@@ -1,5 +1,6 @@
 """Exact arithmetic layer: rationals, polynomials, solves, integrals, roots."""
 
+import contextlib
 from fractions import Fraction
 import math
 
@@ -35,6 +36,7 @@ from sasakijoin.exactmath import (
     squarefree_part,
     sturm_count_roots,
 )
+from support import fraction_isolate_roots
 
 F = Fraction
 
@@ -398,6 +400,79 @@ def test_isolate_keeps_coarse_brackets_inside_the_interval():
         assert [iv.exact_value for iv in ivs] == [None, None, F(9, 10)]
 
 
+# products of repeated linear and quadratic factors over Z; the quadratics
+# may have two real roots, one, or none
+_int_linear = st.fractions(min_value=-2, max_value=2, max_denominator=9).map(
+    lambda r: IntPoly((-r.numerator, r.denominator)))
+_int_quadratic = st.tuples(st.integers(1, 5), st.integers(-6, 6),
+                           st.integers(-5, 5).filter(bool)).map(
+    lambda t: IntPoly((t[2], t[1], t[0])))
+_int_products = st.lists(st.tuples(st.one_of(_int_linear, _int_quadratic), st.integers(1, 3)),
+                         min_size=1, max_size=4).map(
+    lambda fs: math.prod((f for f, e in fs for _ in range(e)), start=IntPoly((1,))))
+_thirds = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@contextlib.contextmanager
+def _evaluation_budget(limit):
+    """Fail, rather than hang, once IntPoly evaluations pass limit."""
+    homogeneous, calls = IntPoly.homogeneous, [0]
+
+    def counted(self, n, m=None):
+        calls[0] += 1
+        assert calls[0] <= limit, "isolation does not terminate"
+        return homogeneous(self, n, m)
+
+    IntPoly.homogeneous = counted
+    try:
+        yield
+    finally:
+        IntPoly.homogeneous = homogeneous
+
+
+@settings(max_examples=60)
+@given(_int_products, _thirds, _thirds,
+       st.fractions(min_value=F(1, 50), max_value=3, max_denominator=50))
+def test_integer_bisection_matches_the_fraction_reference(p, lo, hi, width):
+    if lo == hi:
+        return
+    lo, hi = min(lo, hi), max(lo, hi)
+    with _evaluation_budget(100_000):
+        ivs = isolate_roots(p, lo, hi, width)
+    assert ivs == fraction_isolate_roots(p, lo, hi, width)
+
+
+def test_isolation_nudges_off_a_root_at_the_first_midpoint():
+    # both roots lie in (-1/3, 5/3), and the first midpoint is the root 2/3,
+    # so the split moves to -1/3 + 2 (3/7) = 11/21
+    p = IntPoly((-2, 3)) * IntPoly((-1, 1))
+    with _evaluation_budget(10_000):
+        ivs = isolate_roots(p, F(-1, 3), F(5, 3), F(1, 7))
+    assert ivs == fraction_isolate_roots(p, F(-1, 3), F(5, 3), F(1, 7))
+    assert [(iv.lo, iv.hi, iv.exact_value) for iv in ivs] == [
+        (F(95, 147), F(107, 147), F(2, 3)), (F(20, 21), F(23, 21), 1)]
+
+
+def test_isolation_stops_at_an_attained_width():
+    # (-1/3, 5/3) halves to widths 2, 1, 1/2 around sqrt(2/3), off both ends
+    p = IntPoly((-2, 0, 3))
+    ivs = isolate_roots(p, F(-1, 3), F(5, 3), F(1, 2))
+    assert ivs == fraction_isolate_roots(p, F(-1, 3), F(5, 3), F(1, 2))
+    assert [(iv.lo, iv.hi) for iv in ivs] == [(F(2, 3), F(7, 6))]
+
+
+@pytest.mark.parametrize("width", [F(2), F(3)])
+def test_isolation_at_a_coarse_width(width):
+    # width >= hi - lo: no bisection, and the end fix-up moves the bracket off
+    # lo and hi; for 3z - 2 it lands on the root 2/3 and rebuilds 2/3 -+ 1/4
+    lo, hi = F(-1, 3), F(5, 3)
+    for p, want in ((IntPoly((-2, 0, 1)), (F(7, 6), F(17, 12))),
+                    (IntPoly((-2, 3)), (F(5, 12), F(11, 12)))):
+        ivs = isolate_roots(p, lo, hi, width)
+        assert ivs == fraction_isolate_roots(p, lo, hi, width)
+        assert [(iv.lo, iv.hi) for iv in ivs] == [want]
+
+
 def test_simplest_rational_examples():
     assert simplest_rational_in(F(3999, 10000), F(4004, 10000)) == F(2, 5)
     assert simplest_rational_in(F(32, 10), F(45, 10)) == 4
@@ -439,9 +514,9 @@ class CountingPoly(IntPoly):
         super().__init__(coeffs)
         self.calls = 0
 
-    def homogeneous(self, t):
+    def homogeneous(self, n, m=None):
         self.calls += 1
-        return super().homogeneous(t)
+        return super().homogeneous(n, m)
 
 
 def _ceil_log2(x):

@@ -24,10 +24,13 @@ from sasakijoin import (
 )
 from sasakijoin.errors import DomainError, InternalInconsistency
 from sasakijoin.exactmath import IntPoly, solve_exact
-from sasakijoin.profile import _certify, _right_side, cleared_beta, cleared_moment
+from sasakijoin.profile import _certify, _cleared_parts, _right_side
 from support import (
     ONE_MINUS_Z2,
+    cleared_beta,
+    cleared_moment,
     cleared_moment_cramer,
+    cleared_parts,
     integral_formula_value,
     ode_rhs,
     random_c,
@@ -208,6 +211,16 @@ def test_cleared_moments_match_the_integrals():
             moment = cleared_beta(setup, r, q, k)
             assert all(moment(c) == (1 - c * c) ** k * beta(setup, c, r, q)
                        for c in cs)
+
+
+@pytest.mark.parametrize("p", range(5, 11))
+def test_integer_cleared_parts_match_the_oracle(p):
+    # the clearings condition_numerator reads, and those of the table oracle
+    for r, q, k in ((0, -(p - 1), p - 2), (0, -(p - 2), p - 2), (0, -(p + 1), p),
+                    (1, -(p + 1), p), (2, -(p + 1), p), (1, -(p - 1), p)):
+        E, U, V = _cleared_parts(r, q, k)
+        assert E > 0 and all(type(v) is int for v in U.coeffs + V.coeffs)
+        assert (UniPoly(U.coeffs) / E, UniPoly(V.coeffs) / E) == cleared_parts(r, q, k)
 
 
 def _assert_table_matches(table, setup, c):
