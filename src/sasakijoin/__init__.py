@@ -59,8 +59,6 @@ from .joinsetup import (
 from .profile import (
     ExtremalProfile,
     ProfileTable,
-    alpha,
-    beta,
     compute_profile,
     cscS_check,
     profile_table,
@@ -120,8 +118,6 @@ __all__ = [
     "stabilizer_order",
     "ExtremalProfile",
     "ProfileTable",
-    "alpha",
-    "beta",
     "compute_profile",
     "cscS_check",
     "profile_table",

@@ -29,7 +29,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-[0-9]+(/[0-9]+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

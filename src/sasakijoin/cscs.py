@@ -1,16 +1,23 @@
 """The constant-scalar-curvature condition along the c-line and its roots.
 
-The condition is a rational function of c whose denominator is
-(1 - c^2)^(2p-3).  Its numerator N (condition_numerator) is derived in closed
-form from the Einstein-Hilbert functional H = S^(p-1) / V^(p-2), whose
-critical points are the cscS rays; for p = 5 it has a frozen closed form
-(h_poly_p5, up to the constant 4/9).  The roots of N in (-1, 1) are then
-isolated and identified by the certified root machinery.
+With the moments
+    alpha(r, q) = int_{-1}^{1} t^r (ct+1)^q (1+xt) dt,
+    beta(r, q) = a alpha(r, q) + s x alpha_0(r, q)
+                 + (-1)^r (1-c)^q (1-x) + (1+c)^q (1+x),
+alpha_0 being alpha at x = 0, the condition is
+    alpha(1, -p) beta(0, -(p-1)) - alpha(0, -p) beta(1, -(p-1)),
+a rational function of c whose denominator is (1 - c^2)^(2p-3).  Its
+numerator N (condition_numerator) is derived in closed form from the
+Einstein-Hilbert functional H = S^(p-1) / V^(p-2), whose critical points are
+the cscS rays; for p = 5 it has a frozen closed form (h_poly_p5, up to the
+constant 4/9).  N is the one route to the condition: csc_condition divides
+N(c) by the denominator, and csc_roots isolates and identifies the roots of N
+in (-1, 1) with the certified root machinery.
 
-N is built over Z: profile._cleared_parts scales each cleared moment by
-E = lcm(|e|) over its exponents e and divides out the removable c^(r+2) by
-a slice, and the scales x_d and L of condition_numerator clear x, a x and
-a + s x, so N is an integer polynomial over one known positive scale.
+N is built over Z: _cleared_parts scales each cleared moment by E = lcm(|e|)
+over its exponents e and divides out the removable c^(r+2) by a slice, and
+the scales x_d and L of condition_numerator clear x, a x and a + s x, so N is
+an integer polynomial over one known positive scale.
 """
 
 from fractions import Fraction
@@ -18,15 +25,15 @@ from math import comb, lcm
 
 from .errors import DomainError, InternalInconsistency, WrongWeight
 from .exactmath import IntPoly, UniPoly, isolate_roots
-from .profile import _cleared_parts, alpha, beta
 
 
 def csc_condition(setup, c):
-    """Exact value of the scalar quantity whose vanishing marks a cscS ray."""
+    """Exact value of the scalar quantity whose vanishing marks a cscS ray,
+    N(c) / (1-c^2)^(2p-3) with N = condition_numerator(setup); |c| < 1."""
     c = Fraction(c)
-    p = setup.p
-    return (alpha(setup, c, 1, -p) * beta(setup, c, 0, -(p - 1))
-            - alpha(setup, c, 0, -p) * beta(setup, c, 1, -(p - 1)))
+    if abs(c) >= 1:
+        raise DomainError(f"need |c| < 1, got c = {c}")
+    return condition_numerator(setup)(c) / (1 - c * c) ** (2 * setup.p - 3)
 
 
 def h_poly_p5(setup):
@@ -45,6 +52,47 @@ def h_poly_p5(setup):
         x * (s * x - 6 - 4 * a),
         3 - a - s * x - 3 * x ** 2 + 3 * a * x ** 2,
     ])
+
+
+def _binomial_product(n, k):
+    """The integer coefficients of (1+c)^n (1-c)^k, lowest degree first."""
+    minus = [(-1) ** j * comb(k, j) for j in range(k + 1)]
+    out = [0] * (n + k + 1)
+    for i in range(n + 1):
+        ci = comb(n, i)
+        for j, cj in enumerate(minus):
+            out[i + j] += ci * cj
+    return out
+
+
+def _cleared_parts(r, q, k):
+    """(E, U, V), E > 0 an int and U, V IntPolys, with
+    E (1-c^2)^k int_{-1}^{1} t^r (ct+1)^q (1+xt) dt = x U + V.
+
+    With u = ct+1 the integrand is u^q (u-1)^r (xu + c - x) / c^(r+2) du on
+    [1-c, 1+c]; each power u^(e-1) integrates to ((1+c)^e - (1-c)^e)/e, and
+    cleared by (1-c^2)^k that is twice the odd part of (1+c)^(k+e) (1-c)^k,
+    over e.  E = lcm(|e|) clears every 1/e.  The callers keep r <= 2, every e
+    nonzero and k+e >= 0, so all of it is polynomial: the c^(r+2) is
+    removable, its low coefficients are checked to be zero, and dividing it
+    out is a slice.
+    """
+    # coefficients of (u-1)^r; the trailing 0 also serves as ups[-1]
+    ups = [(-1) ** (r - i) * comb(r, i) for i in range(r + 1)] + [0]
+    es = [q + j + 1 for j in range(r + 2)]
+    E = lcm(*es)
+    size = 2 * k + q + r + 4
+    U, V = [0] * size, [0] * size
+    for j, e in enumerate(es):
+        # u^j in (u-1)^r (xu + c - x) has coefficient x (ups[j-1] - ups[j]) + c ups[j]
+        f = 2 * E // e
+        product = _binomial_product(k + e, k)
+        for i in range(1, len(product), 2):
+            U[i] += f * (ups[j - 1] - ups[j]) * product[i]
+            V[i + 1] += f * ups[j] * product[i]
+    if any(U[:r + 2]) or any(V[:r + 2]):
+        raise InternalInconsistency(f"cleared moment ({r}, {q}, {k}) has a pole at c = 0")
+    return E, IntPoly(U[r + 2:]), IntPoly(V[r + 2:])
 
 
 def condition_numerator(setup):
@@ -68,7 +116,7 @@ def condition_numerator(setup):
     (-1, 1), counted with multiplicity.
 
     All of it is built over Z.  With x = x_n/x_d in lowest terms and E1, E2
-    the scales of profile._cleared_parts for V~ and S~, E1 x_d V~ is an
+    the scales of _cleared_parts for V~ and S~, E1 x_d V~ is an
     integer polynomial; with L the lcm of the denominators of a x, a + s x
     and x, so is E2 L S~, whose boundary part is
     L (1-x) (1+c)^k + L (1+x) (1-c)^k.  The bracket above, built from these,

@@ -24,14 +24,7 @@ class LogarithmicTerm(ArithmeticError):
 
 
 class SingularSystem(ArithmeticError):
-    """A linear system that must be uniquely solvable is singular.
-
-    For 2x2 systems the determinant is attached so callers can report it.
-    """
-
-    def __init__(self, message, determinant=None):
-        super().__init__(message)
-        self.determinant = determinant
+    """A linear system that must be uniquely solvable is singular."""
 
 
 class InconsistentSystem(ArithmeticError):

@@ -4,7 +4,7 @@ from .rationals import Rational, parse_rational, format_rational, decimal_str
 from .unipoly import UniPoly, exact_divide, poly_gcd, squarefree_part
 from .intpoly import IntPoly
 from .multipoly import MultiPoly
-from .linsolve import solve_exact, solve_2x2
+from .linsolve import solve_exact
 from .integrals import integrate_weighted_monomial
 from .roots import (
     RootInterval,
@@ -27,7 +27,6 @@ __all__ = [
     "squarefree_part",
     "MultiPoly",
     "solve_exact",
-    "solve_2x2",
     "integrate_weighted_monomial",
     "RootInterval",
     "sturm_count_roots",

@@ -47,15 +47,3 @@ def solve_exact(rows, rhs):
     for i, col in enumerate(piv_cols):
         sol[col] = M[i][n]
     return sol
-
-
-def solve_2x2(a11, a12, a21, a22, b1, b2):
-    """Cramer solve of a 2x2 system; SingularSystem carries the determinant."""
-    a11, a12, a21, a22 = (Fraction(v) for v in (a11, a12, a21, a22))
-    b1, b2 = Fraction(b1), Fraction(b2)
-    det = a11 * a22 - a12 * a21
-    if det == 0:
-        raise SingularSystem("2x2 system is singular", determinant=det)
-    x1 = (b1 * a22 - a12 * b2) / det
-    x2 = (a11 * b2 - b1 * a21) / det
-    return x1, x2

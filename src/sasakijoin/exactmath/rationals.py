@@ -5,6 +5,7 @@ arbitrary precision.  Decimals never enter a computation; they exist only as a
 display rendering next to the exact string.
 """
 
+import re
 from fractions import Fraction
 
 from ..errors import DomainError
@@ -13,26 +14,22 @@ Rational = Fraction
 
 
 def parse_rational(text):
-    """Parse "p/q" or an integer string into a Rational.
-
-    Decimal notation is rejected: silent precision loss is worse than an error.
-    """
+    """Parse "p/q" or an integer string, -?[0-9]+(/[0-9]+)? once stripped,
+    into a Rational.  Decimals are rejected: silent precision loss is worse
+    than an error.  So are "+", digit separators and non-ASCII digits."""
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
     if not isinstance(text, str):
         raise DomainError(f"expected rational string, got {type(text).__name__}")
-    s = text.strip()
-    if any(ch in s for ch in ".eE"):
-        raise DomainError(f"decimal notation rejected, use p/q: {text!r}")
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational: {text!r}") from exc
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text.strip())
+    if match is None:
+        raise DomainError(f"not a rational p/q (decimal notation is rejected): {text!r}")
+    num, den = match.groups(default="1")
+    if int(den) == 0:
+        raise DomainError(f"zero denominator: {text!r}")
+    return Fraction(int(num), int(den))
 
 
 def format_rational(value):

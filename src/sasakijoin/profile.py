@@ -25,16 +25,18 @@ the right side and _ode_map the left.  A profile is one set of integer rows
 _endpoint_solve derives at one ray c = n/m for compute_profile, or once over
 Z[c] for profile_table (F(z; c) = P(z, c)/D(c) for every ray of a setup).
 _certify checks the rows exactly through the same map, also for the p = 4
-closed form of twins.cp1_profile, and _read divides them by D.
+closed form of twins.cp1_profile, and _read divides them by D.  Moments
+enter this module only through the proof above; the cleared moments behind
+the cscS numerator are in cscs.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 
 from .errors import DomainError, InternalInconsistency
-from .exactmath import IntPoly, UniPoly, integrate_weighted_monomial, solve_2x2
+from .exactmath import IntPoly, UniPoly
 from .joinsetup import ProductSetup
 
 
@@ -48,84 +50,6 @@ class ExtremalProfile:
     A1: Fraction
     A2: Fraction
     p: int
-
-
-def alpha(setup, c, r, q):
-    """Moment integral of t^r (ct+1)^q against the measure (1+xt) dt on [-1, 1]."""
-    return integrate_weighted_monomial(r, q, Fraction(c), setup.x)
-
-
-def beta(setup, c, r, q):
-    """Weighted boundary-and-curvature moment entering the normalization."""
-    c = Fraction(c)
-    x = setup.x
-    bulk = setup.a * integrate_weighted_monomial(r, q, c, x)
-    surface = setup.s * x * integrate_weighted_monomial(r, q, c, Fraction(0))
-    boundary = (-1) ** r * (1 - c) ** q * (1 - x) + (1 + c) ** q * (1 + x)
-    return bulk + surface + boundary
-
-
-def _binomial_product(n, k):
-    """The integer coefficients of (1+c)^n (1-c)^k, lowest degree first."""
-    minus = [(-1) ** j * comb(k, j) for j in range(k + 1)]
-    out = [0] * (n + k + 1)
-    for i in range(n + 1):
-        ci = comb(n, i)
-        for j, cj in enumerate(minus):
-            out[i + j] += ci * cj
-    return out
-
-
-def _cleared_parts(r, q, k):
-    """(E, U, V), E > 0 an int and U, V IntPolys, with
-    E (1-c^2)^k int_{-1}^{1} t^r (ct+1)^q (1+xt) dt = x U + V.
-
-    With u = ct+1 the integrand is u^q (u-1)^r (xu + c - x) / c^(r+2) du on
-    [1-c, 1+c]; each power u^(e-1) integrates to ((1+c)^e - (1-c)^e)/e, and
-    cleared by (1-c^2)^k that is twice the odd part of (1+c)^(k+e) (1-c)^k,
-    over e.  E = lcm(|e|) clears every 1/e.  The callers keep r <= 2, every e
-    nonzero and k+e >= 0, so all of it is polynomial: the c^(r+2) is
-    removable, its low coefficients are checked to be zero, and dividing it
-    out is a slice.
-    """
-    # coefficients of (u-1)^r; the trailing 0 also serves as ups[-1]
-    ups = [(-1) ** (r - i) * comb(r, i) for i in range(r + 1)] + [0]
-    es = [q + j + 1 for j in range(r + 2)]
-    E = lcm(*es)
-    size = 2 * k + q + r + 4
-    U, V = [0] * size, [0] * size
-    for j, e in enumerate(es):
-        # u^j in (u-1)^r (xu + c - x) has coefficient x (ups[j-1] - ups[j]) + c ups[j]
-        f = 2 * E // e
-        product = _binomial_product(k + e, k)
-        for i in range(1, len(product), 2):
-            U[i] += f * (ups[j - 1] - ups[j]) * product[i]
-            V[i + 1] += f * ups[j] * product[i]
-    if any(U[:r + 2]) or any(V[:r + 2]):
-        raise InternalInconsistency(f"cleared moment ({r}, {q}, {k}) has a pole at c = 0")
-    return E, IntPoly(U[r + 2:]), IntPoly(V[r + 2:])
-
-
-def solve_A(setup, c):
-    """The affine coefficients (A1, A2) of the weighted scalar curvature.
-
-    The 2x2 moment matrix [[alpha1, alpha0], [alpha2, alpha1]] never
-    degenerates for |c| < 1: the weight (ct+1)^(-(p+1)) (1+xt) is positive on
-    (-1, 1), so its determinant alpha1^2 - alpha0 alpha2 is negative by
-    Cauchy-Schwarz, and solve_2x2's SingularSystem cannot arise here.
-    It is the moment route to (A1, A2); compute_profile and profile_table
-    take them from the endpoint system instead (module docstring).
-    """
-    c = Fraction(c)
-    p = setup.p
-    qa = -(p + 1)
-    qb = -(p - 1)
-    alpha1 = alpha(setup, c, 1, qa)
-    return solve_2x2(
-        alpha1, alpha(setup, c, 0, qa),
-        alpha(setup, c, 2, qa), alpha1,
-        2 * beta(setup, c, 0, qb), 2 * beta(setup, c, 1, qb),
-    )
 
 
 def _right_side(p, a, s, x):
@@ -245,6 +169,16 @@ def compute_profile(setup, c):
     return _read(c, setup.p, rows)
 
 
+def solve_A(setup, c):
+    """The affine coefficients (A1, A2) of compute_profile(setup, c).
+
+    Kept only because perfbench/tracer.py times it; ROADMAP item 3 deletes it
+    once item 1c keeps the metrics of a removed traced function numeric.
+    """
+    prof = compute_profile(setup, c)
+    return prof.A1, prof.A2
+
+
 class ProfileTable:
     """Every profile of one setup, as F(z; c) = P(z, c)/D(c) with (A1, A2) =
     (P1(c), P2(c))/D(c), certified on construction.
@@ -261,9 +195,10 @@ class ProfileTable:
     (module docstring), and divided by D(c) they are the ODE and the endpoint
     conditions for F = P(., c)/D(c) with (A1, A2) = (P1, P2)/D, which fix F
     uniquely.  D, P1, P2 and P are UniPolys built on demand, the rows times
-    scale (the tests pin profile_table's D to (1-c^2)^(2p-2) (alpha1^2 -
-    alpha0 alpha2)).  A ray c = n/m costs one dot product with n^j m^(N-j)
-    per row, N the largest degree (_rows_at), and _read.
+    scale (the tests pin profile_table's D to (1-c^2)^(2p-2) times minus the
+    determinant of the Gram matrix of the module docstring).  A ray c = n/m
+    costs one dot product with n^j m^(N-j) per row, N the largest degree
+    (_rows_at), and _read.
     """
 
     def __init__(self, setup, rows, scale=1):

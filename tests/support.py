@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import comb
 
-from sasakijoin import UniPoly, exact_divide, make_setup
+from sasakijoin import UniPoly, exact_divide, integrate_weighted_monomial, make_setup
 from sasakijoin.exactmath.roots import (RootInterval, _prepare, _variations,
                                         identify_rational_root)
 # the worked examples are built once, by the reproduction suite
@@ -86,9 +86,44 @@ def integral_formula_value(setup, c, A1, A2, z0):
     return (c * z0 + 1) ** (p - 1) * (head + integral)
 
 
+def alpha(setup, c, r, q):
+    """Moment integral of t^r (ct+1)^q against the measure (1+xt) dt on [-1, 1]."""
+    return integrate_weighted_monomial(r, q, Fraction(c), setup.x)
+
+
+def beta(setup, c, r, q):
+    """Weighted boundary-and-curvature moment entering the normalization."""
+    c = Fraction(c)
+    x = setup.x
+    bulk = setup.a * integrate_weighted_monomial(r, q, c, x)
+    surface = setup.s * x * integrate_weighted_monomial(r, q, c, Fraction(0))
+    boundary = (-1) ** r * (1 - c) ** q * (1 - x) + (1 + c) ** q * (1 + x)
+    return bulk + surface + boundary
+
+
+def moment_condition(setup, c):
+    """The cscS condition from six moments: the oracle of csc_condition."""
+    p = setup.p
+    return (alpha(setup, c, 1, -p) * beta(setup, c, 0, -(p - 1))
+            - alpha(setup, c, 0, -p) * beta(setup, c, 1, -(p - 1)))
+
+
+def moment_A(setup, c):
+    """(A1, A2) by Cramer on the moment conditions
+    [[alpha1, alpha0], [alpha2, alpha1]] (A1, A2) = 2 (beta0, beta1), with
+    alpha_r = alpha(r, -(p+1)) and beta_r = beta(r, -(p-1)): the oracle of
+    the endpoint solve's (A1, A2).  The determinant alpha1^2 - alpha0 alpha2
+    is negative for |c| < 1 by Cauchy-Schwarz, the weight being positive."""
+    p = setup.p
+    m0, m1, m2 = (alpha(setup, c, r, -(p + 1)) for r in range(3))
+    b0, b1 = (2 * beta(setup, c, r, -(p - 1)) for r in range(2))
+    det = m1 * m1 - m0 * m2
+    return (b0 * m1 - m0 * b1) / det, (m1 * b1 - b0 * m2) / det
+
+
 def cleared_parts(r, q, k):
     """(U, V) with (1-c^2)^k * int_{-1}^{1} t^r (ct+1)^q (1+xt) dt = x U + V,
-    in Fraction arithmetic: the oracle of profile._cleared_parts over Z.
+    in Fraction arithmetic: the oracle of cscs._cleared_parts over Z.
 
     With u = ct+1 the integrand is u^q (u-1)^r (xu + c - x) / c^(r+2) du on
     [1-c, 1+c]; each power u^(e-1) integrates to ((1+c)^e - (1-c)^e)/e, and

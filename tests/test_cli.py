@@ -247,6 +247,15 @@ def test_decimal_flag_value_is_a_usage_error(capsys):
     assert "decimal" in capsys.readouterr().err
 
 
+def test_non_ascii_digits_are_a_usage_error(capsys):
+    # int() reads Arabic-Indic digits, so "\u0663/\u0665" would pass as 3/5
+    with pytest.raises(SystemExit) as err:
+        cli.main(["profile", "--d", "1", "--a", "1", "--g2", "0", "--k", "1",
+                  "--x", "\u0663/\u0665", "--c", "0"])
+    assert err.value.code == 1
+    assert "--x" in capsys.readouterr().err
+
+
 def test_missing_required_flag(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["profile", "--d", "1", "--a", "1", "--g2", "0", "--k", "1"])

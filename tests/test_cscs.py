@@ -2,25 +2,28 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import sasakijoin.cli as cli
+import sasakijoin.reproduce as reproduce
 from sasakijoin import (
     UniPoly,
-    alpha,
-    beta,
     condition_numerator,
     csc_condition,
     csc_roots,
     exact_divide,
     h_poly_p5,
     make_setup,
+    solve_A,
     sturm_count_roots,
 )
 from sasakijoin.errors import DomainError, WrongWeight
-from sasakijoin.exactmath import IntPoly, isolate_roots, roots
+from sasakijoin.exactmath import IntPoly, integrals, isolate_roots, roots
 from support import (
+    moment_condition,
     moment_numerator,
     proportional,
     random_c,
@@ -35,14 +38,47 @@ F = Fraction
 
 
 def test_condition_is_the_moment_determinant():
+    # the pointwise tie between N, which csc_condition reads, and the moments
     rng = random.Random(1)
     for _ in range(10):
-        setup = random_setup(rng)
+        setup = random_setup(rng, d=rng.choice((1, 2, 3)))
         c = random_c(rng)
-        p = setup.p
-        want = (alpha(setup, c, 1, -p) * beta(setup, c, 0, -(p - 1))
-                - alpha(setup, c, 0, -p) * beta(setup, c, 1, -(p - 1)))
-        assert csc_condition(setup, c) == want
+        assert csc_condition(setup, c) == moment_condition(setup, c)
+
+
+def test_library_never_integrates_a_moment(monkeypatch, capsys):
+    # N is the one route to the cscS condition and the endpoint solve the one
+    # route to (A1, A2): with every binding of the moment integral refusing
+    # to run, the condition, the affine coefficients, a profile document and
+    # the reproduction checks all still come out
+    original = integrals.integrate_weighted_monomial
+
+    def refuse(*args):
+        raise AssertionError("the library integrated a moment")
+
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "sasakijoin" or name.startswith("sasakijoin."):
+            for binding, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, binding, refuse)
+                    bound += 1
+    assert bound >= 3
+    setup = setup_no_csc()
+    assert csc_condition(setup, F(2, 5)) == 0
+    A1, A2 = solve_A(setup, F(2, 5))
+    assert A1 == F(2, 5) * A2
+    assert cli.main(["profile", "--d", "1", "--a", "-43137/1337", "--g2", "101",
+                     "--k", "1", "--x", "1/2", "--c", "1/3"]) == 0
+    assert '"cscS": false' in capsys.readouterr().out
+    assert all(check["ok"] for check in reproduce.run_checks())
+
+
+@pytest.mark.parametrize("c", [F(1), F(-1), F(3, 2)])
+def test_condition_rejects_out_of_range_rotation(c):
+    # csc_condition divides by (1-c^2)^(2p-3)
+    with pytest.raises(DomainError):
+        csc_condition(setup_no_csc(), c)
 
 
 def test_h_closed_form_matches_condition():
@@ -51,7 +87,8 @@ def test_h_closed_form_matches_condition():
         setup = random_setup(rng)
         h = h_poly_p5(setup)
         c = random_c(rng)
-        assert csc_condition(setup, c) == 4 * h(c) / (9 * (1 - c * c) ** 7)
+        want = 4 * h(c) / (9 * (1 - c * c) ** 7)
+        assert csc_condition(setup, c) == moment_condition(setup, c) == want
 
 
 def test_h_endpoint_values():
@@ -116,7 +153,7 @@ def _assert_clears_denominator(setup, numerator, rng):
     while len(nodes) < 2 * p - 4:
         nodes.add(random_c(rng, max_den=40))
     for c in nodes:
-        assert (csc_condition(setup, c) * (1 - c * c) ** (2 * p - 3)
+        assert (moment_condition(setup, c) * (1 - c * c) ** (2 * p - 3)
                 == numerator(c))
 
 

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from sasakijoin import (
     ProfileTable,
     UniPoly,
-    alpha,
-    beta,
     compute_profile,
     csc_condition,
     cscS_check,
@@ -24,14 +22,18 @@ from sasakijoin import (
 )
 from sasakijoin.errors import DomainError, InternalInconsistency
 from sasakijoin.exactmath import IntPoly, solve_exact
-from sasakijoin.profile import _certify, _cleared_parts, _right_side
+from sasakijoin.cscs import _cleared_parts
+from sasakijoin.profile import _certify, _right_side
 from support import (
     ONE_MINUS_Z2,
+    alpha,
+    beta,
     cleared_beta,
     cleared_moment,
     cleared_moment_cramer,
     cleared_parts,
     integral_formula_value,
+    moment_A,
     ode_rhs,
     random_c,
     random_rational,
@@ -149,15 +151,12 @@ def test_profile_matches_integral_representation():
 def _linear_system_profile(setup, c):
     """(F, A1, A2) by exact elimination, independent of the endpoint solve.
 
-    (A1, A2) solve the two moment conditions; F solves the (p+5) x (p+1)
-    system of the p+1 ODE coefficients and the four endpoint conditions.
+    (A1, A2) solve the two moment conditions (support.moment_A); F solves the
+    (p+5) x (p+1) system of the p+1 ODE coefficients and the four endpoint
+    conditions.
     """
     p, x = setup.p, setup.x
-    qa, qb = -(p + 1), -(p - 1)
-    A1, A2 = solve_exact(
-        [[alpha(setup, c, 1, qa), alpha(setup, c, 0, qa)],
-         [alpha(setup, c, 2, qa), alpha(setup, c, 1, qa)]],
-        [2 * beta(setup, c, 0, qb), 2 * beta(setup, c, 1, qb)])
+    A1, A2 = moment_A(setup, c)
     rhs = ode_rhs(setup, c, A1, A2)
     images = [_ode_operator(UniPoly([0] * j + [1]), p, c) for j in range(p + 1)]
     rows = [[img.coefficient(i) for img in images] for i in range(p + 1)]
@@ -280,7 +279,7 @@ def test_table_affine_coefficients_match_solve_A():
         for _ in range(5):
             c = random_c(rng)
             prof = table.profile_at(c)
-            assert (prof.A1, prof.A2) == solve_A(setup, c)
+            assert (prof.A1, prof.A2) == solve_A(setup, c) == moment_A(setup, c)
 
 
 def test_table_certificate_rejects_a_changed_coefficient():
@@ -402,6 +401,22 @@ def test_cscS_check_iff_condition_vanishes():
         c = random_c(rng)
         prof = compute_profile(setup, c)
         assert cscS_check(prof) == (csc_condition(setup, c) == 0)
+
+
+def test_affine_defect_is_the_condition_over_the_moment_determinant():
+    # F14: Cramer on the moment conditions, with
+    # alpha(r, -p) = c alpha(r+1, -(p+1)) + alpha(r, -(p+1)), gives
+    # (A1 - c A2)(alpha1^2 - alpha0 alpha2) = 2 csc_condition, so the endpoint
+    # solve and the cscS numerator agree in value, not only in their zeros
+    rng = random.Random(67)
+    for p in range(5, 11):
+        for _ in range(3):
+            setup = random_setup(rng, d=p - 4)
+            c = random_c(rng)
+            prof = compute_profile(setup, c)
+            a0, a1, a2 = (alpha(setup, c, r, -(p + 1)) for r in range(3))
+            assert ((prof.A1 - c * prof.A2) * (a1 * a1 - a0 * a2)
+                    == 2 * csc_condition(setup, c))
 
 
 def test_solve_A_proportionality_examples():
