@@ -32,14 +32,44 @@ def parse_rational(text):
     return Fraction(int(num), int(den))
 
 
+# Every int->str digit limit allows 640 digits (sys.int_info
+# .str_digits_check_threshold), so an int below 2**2000 (at most 603 digits)
+# converts directly and a longer one in blocks of 600 digits.
+_DIRECT_BITS = 2000
+_BLOCK_DIGITS = 600
+_BLOCK = 10 ** _BLOCK_DIGITS
+
+
+def _int_str(n):
+    """str(n), at any length and under any setting of the digit limit."""
+    if n.bit_length() <= _DIRECT_BITS:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    blocks = []
+    while n >= _BLOCK:
+        n, low = divmod(n, _BLOCK)
+        blocks.append(f"{low:0{_BLOCK_DIGITS}d}")
+    blocks.append(str(n))
+    return sign + "".join(reversed(blocks))
+
+
 def format_rational(value):
-    """Render a Rational as "p/q", or "p" when the denominator is 1."""
-    value = Fraction(value)
+    """Render a Rational or an int as "p/q", or "p" when the denominator is 1,
+    with every digit however long p and q are."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_str(value.numerator)
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 def decimal_str(value):
-    """Display-only decimal rendering of a Rational."""
-    return repr(float(Fraction(value)))
+    """Display-only decimal of a Rational or an int: repr of the nearest
+    double under round-to-nearest, the correctly rounded p / q, so "inf" or
+    "-inf" past the largest finite double."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    try:
+        return repr(value.numerator / value.denominator)
+    except OverflowError:
+        return "inf" if value > 0 else "-inf"

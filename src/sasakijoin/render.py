@@ -1,14 +1,18 @@
 """Report rendering: JSON documents, the scan CSV table, and the SVG diagram.
 
 Every number in a JSON document carries its exact rational string plus a
-display-only decimal.  Output text is deterministic for identical inputs: keys
-are sorted, floats are fixed-format, and no timestamps appear anywhere.
+display-only decimal, the repr of the nearest double ("inf" or "-inf" past the
+largest finite one).  A document holds only dicts with str keys, lists,
+tuples, str, int, bool and None; dump_json writes it as
+json.dumps(doc, indent=2, sort_keys=True) does, byte for byte, without json's
+pure-Python indenting encoder.  No timestamps appear anywhere, so identical
+inputs give identical text.
 """
 
-import json
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from ._version import __version__
 from .errors import DomainError
@@ -16,7 +20,6 @@ from .exactmath import decimal_str, format_rational
 
 
 def number_field(value):
-    value = Fraction(value)
     return {"exact": format_rational(value), "decimal": decimal_str(value)}
 
 
@@ -182,7 +185,58 @@ def reproduce_document(results):
 
 
 def dump_json(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The document as indented JSON text with sorted keys and a final newline.
+
+    A float, a non-str key or any type a document does not hold raises
+    TypeError.
+    """
+    parts = []
+    _write(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, newline, parts):
+    """Append the JSON text of value to parts; newline is "\n" plus the
+    indent of the line value starts on."""
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"document key {key!r} is not a str")
+            parts.append(opener)
+            parts.append(_quote(key))
+            parts.append(": ")
+            _write(value[key], inner, parts)
+            opener = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            parts.append(opener)
+            _write(item, inner, parts)
+            opener = "," + inner
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    else:
+        raise TypeError(f"a document holds no {type(value).__name__}")
 
 
 def write_atomic(path, text):
@@ -305,15 +359,16 @@ def scan_svg(report):
         m = (1 - value) / (1 + value)
         end = _edge_point(m)
         if entry.contested:
-            style = 'stroke="#cc8800" stroke-width="2" stroke-dasharray="2,2"'
+            color, dash = "#cc8800", ' stroke-dasharray="2,2"'
         elif entry.genuine:
-            style = 'stroke="#117733" stroke-width="2"'
+            color, dash = "#117733", ""
         else:
-            style = 'stroke="#cc3311" stroke-width="2" stroke-dasharray="6,3"'
-        parts.append(_line((0.0, 0.0), end, style))
+            color, dash = "#cc3311", ' stroke-dasharray="6,3"'
+        parts.append(_line((0.0, 0.0), end,
+                           f'stroke="{color}" stroke-width="2"{dash}'))
         ex, ey = _to_px(end)
         parts.append(f'<circle cx="{_fmt(ex)}" cy="{_fmt(ey)}" r="3" '
-                     f'fill="{"#117733" if entry.genuine else "#cc3311"}"/>')
+                     f'fill="{color}"/>')
         parts.append(f'<text x="{_fmt(ex + 4)}" y="{_fmt(ey - 4)}" '
                      f'font-size="10" font-family="sans-serif">'
                      f'c={_fmt(value)}</text>')
@@ -323,6 +378,7 @@ def scan_svg(report):
         ("#bbbbbb", "non-extremal ray"),
         ("#117733", "genuine cscS ray"),
         ("#cc3311", "spurious cscS root"),
+        ("#cc8800", "contested cscS root"),
         ("#d9d9d9", "moat"),
     ]
     y = 18.0

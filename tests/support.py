@@ -1,5 +1,8 @@
 """Shared builders and helpers for the test suite."""
 
+import contextlib
+import json
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -18,6 +21,22 @@ from sasakijoin.reproduce import (  # noqa: F401
 
 ONE_MINUS_Z2 = UniPoly((1, 0, -1))
 
+
+def reference_dump(doc):
+    """The JSON text of a document as the standard library writes it, the
+    oracle for render.dump_json."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Run the block with sys.set_int_max_str_digits(limit); 0 lifts it."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 def random_x(rng, max_den=20):
     den = rng.randint(3, max_den)

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import sasakijoin.cli as cli
+from sasakijoin import csc_condition, make_setup
 from sasakijoin.errors import InternalInconsistency
+from support import digit_limit
 
 F = Fraction
 
@@ -229,6 +231,39 @@ def test_scan_to_stdout(capsys):
     assert len(doc["csc_rays"]) == 1
     assert doc["csc_rays"][0]["genuine"] is False
     assert len(doc["slope_map"]) == 8
+
+
+HUGE = "1" + "0" * 400   # past the largest double
+
+
+@pytest.mark.parametrize("args, path", [
+    (["csc-roots", "--d", "1", "--a", HUGE, "--g2", "1", "--k", "1", "--x", "1/2",
+      "--width", "1/100"], ("setup", "a")),
+    (["scan", "--d", "1", "--a", HUGE, "--g2", "1", "--k", "1", "--x", "1/2"],
+     ("setup", "a")),
+    (["toric", "--n", "2", "--lambda", HUGE, "--l", "1"], ("lambda",)),
+], ids=["csc-roots", "scan", "toric"])
+def test_values_past_the_largest_double_read_inf(capsys, args, path):
+    code, out, err = run_cli(capsys, args)
+    assert (code, err) == (0, "")
+    field = json.loads(out)
+    for key in path:
+        field = field[key]
+    assert field == {"exact": HUGE, "decimal": "inf"}
+
+
+def test_exact_strings_past_the_digit_limit(capsys):
+    # the condition value outgrows the 4300 digits str() converts by default
+    code, out, err = run_cli(capsys, ["profile", "--d", "1", "--a", "3", "--g2", "1",
+                                      "--k", "1", "--x", "1/2", "--c", f"1/{HUGE}"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["c"] == {"exact": f"1/{HUGE}", "decimal": "0.0"}
+    value = csc_condition(make_setup(d=1, a=3, genus_g2=1, degree_k=1, x=F(1, 2)),
+                          F(1, int(HUGE)))
+    with digit_limit(0):
+        assert doc["csc_condition"]["exact"] == f"{value.numerator}/{value.denominator}"
+        assert max(len(str(part)) for part in (value.numerator, value.denominator)) > 4300
 
 
 def test_help_exits_zero():

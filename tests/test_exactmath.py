@@ -3,6 +3,8 @@
 import contextlib
 from fractions import Fraction
 import math
+import random
+import sys
 
 import pytest
 import sympy
@@ -35,7 +37,7 @@ from sasakijoin.exactmath import (
     squarefree_part,
     sturm_count_roots,
 )
-from support import fraction_isolate_roots
+from support import digit_limit, fraction_isolate_roots
 
 F = Fraction
 
@@ -64,6 +66,29 @@ def test_parse_rational_rejects_non_fractions(bad):
 @given(rationals)
 def test_format_parse_roundtrip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+def _long_values():
+    rng = random.Random(640)
+    values = []
+    for digits in (1, 599, 600, 601, 603, 604, 1200, 1201, 4300, 4301, 9001):
+        values += [rng.randrange(10 ** (digits - 1), 10 ** digits), 10 ** digits,
+                   10 ** digits - 1, 10 ** digits + 1, 10 ** (2 * digits) + 7]
+    values += [-v for v in values]
+    values += [F(values[i], abs(values[-1 - i]) + 2) for i in range(len(values))]
+    return values
+
+
+@pytest.mark.parametrize("limit", [sys.int_info.default_max_str_digits,
+                                   sys.int_info.str_digits_check_threshold])
+def test_exact_strings_round_trip_under_the_digit_limit(limit):
+    # blocks of 600 digits convert under every setting of the limit
+    values = _long_values()
+    with digit_limit(limit):
+        texts = [format_rational(v) for v in values]
+    with digit_limit(0):
+        assert [F(text) for text in texts] == values
+        assert texts == [str(v) for v in values]
 
 
 # -- univariate polynomial ring ----------------------------------------------
