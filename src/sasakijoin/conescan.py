@@ -3,15 +3,25 @@
 A scan builds the setup's certified profile table once (profile_table) and
 reads every ray it classifies off the table in integer arithmetic, with no
 per-ray solve: the grid points, the bisection midpoints and the ends of the
-cscS root brackets.  Extremality is then decided exactly by a Sturm count
-over the integers, on F cleared of its denominators and divided by 1-z^2.
-A grid ray's F goes into the report, so it is read with profile_at; the
-midpoints and root ends need only the verdict, and take sign(D) P straight
-from the table's integer rows, with no Fraction.
-Each extremal/non-extremal transition between grid points is bisected down
-to a bracket of width <= boundary_width.  Regions are reported with bracket
-endpoints, since the exact boundary between certified sample points is not
-decided (connectivity between samples is "sampled", not proven).
+cscS root brackets.
+
+It first tries to prove the whole cone extremal at once.  On the table,
+H(z, c) = sign(D) P(z, c)/(1-z^2) is an integer polynomial (_cone_rows), and
+at every ray |c| < 1 it is F/(1-z^2) times |D(c)| > 0.  When the Bernstein
+coefficients of H prove H > 0 on the closed square [-1, 1]^2
+(exactmath.certify_positive, in at most 16 boxes), every ray is extremal:
+each grid ray's verdict, the one extremal region with no moat, and the label
+genuine of every cscS root follow with no Sturm test, and connectivity is
+"proven".
+
+Otherwise extremality is decided ray by ray, exactly, by a Sturm count over
+the integers on sign(D) P at the ray, read off the table's integer rows and
+divided by 1-z^2.  Each extremal/non-extremal transition between grid points
+is bisected down to a bracket of width <= boundary_width, and a cscS root is
+labelled by the verdict at its exact value, or at both ends of its bracket.
+Regions are reported with bracket endpoints, since the exact boundary between
+certified sample points is not decided, and a moat between two samples would
+go unseen: connectivity is "sampled", not proven.
 """
 
 from dataclasses import dataclass
@@ -19,9 +29,9 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .cscs import csc_roots
-from .errors import DomainError
-from .exactmath import IntPoly, UniPoly, is_positive_on_open
-from .profile import compute_profile, cscS_check, profile_table
+from .errors import DomainError, InexactDivision
+from .exactmath import IntPoly, UniPoly, certify_positive, is_positive_on_open
+from .profile import _read, compute_profile, cscS_check, profile_table
 
 
 @dataclass(frozen=True)
@@ -37,9 +47,13 @@ class ConeInterval:
     """A region between two boundary brackets.
 
     left and right are (lo, hi) brackets for the region's endpoints; at the
-    edges of the cone they degenerate to (-1, -1) or (1, 1).  The region
-    certainly contains (left.hi, right.lo) and is contained in
-    (left.lo, right.hi).
+    edges of the cone they degenerate to (-1, -1) or (1, 1).  Each bracket
+    holds a change of extremality between its two ends, each checked
+    exactly.  When the scan's connectivity is "proven", the one extremal
+    region is the whole cone (-1, 1).  When it is "sampled", every sample
+    ray in (left.hi, right.lo) has the region's verdict, but a change between
+    two samples is not ruled out, so the region is not proven to contain
+    (left.hi, right.lo) nor to be contained in (left.lo, right.hi).
     """
 
     left: Tuple[Fraction, Fraction]
@@ -69,6 +83,8 @@ class ConeScanReport:
     slope_map: tuple
     boundary_width: Fraction
     connectivity: str
+    # boxes of the whole-cone certificate; None when it did not hold
+    whole_cone_boxes: Optional[int]
 
 
 _ONE_MINUS_Z2 = IntPoly((1, 0, -1))
@@ -90,14 +106,11 @@ def is_extremal(F):
     return _positive_inside(IntPoly.from_unipoly(F))
 
 
-def _classify(prof):
-    return RayClassification(c=prof.c, extremal=is_extremal(prof.F),
-                             cscS=cscS_check(prof), F=prof.F)
-
-
 def classify_ray(setup, c):
     """Profile plus the two verdicts for a single ray: extremal and cscS."""
-    return _classify(compute_profile(setup, c))
+    prof = compute_profile(setup, c)
+    return RayClassification(c=prof.c, extremal=is_extremal(prof.F),
+                             cscS=cscS_check(prof), F=prof.F)
 
 
 def slope(c):
@@ -108,11 +121,44 @@ def slope(c):
     return (1 - c) / (1 + c)
 
 
-def _is_extremal_at(table, c):
-    """is_extremal at the ray c, read off the table's integer rows: sign(D) P
-    is F times a positive factor."""
-    D, _, _, *P = table._rows_at(c)
+def _extremal_rows(rows):
+    """is_extremal for the integer rows (D, P1, P2, P_0..P_p) of one ray:
+    sign(D) P is F times a positive factor."""
+    D, _, _, *P = rows
     return _positive_inside((IntPoly(P) if D > 0 else -IntPoly(P)).primitive())
+
+
+def _is_extremal_at(table, c):
+    """is_extremal at the ray c, read off the table's integer rows."""
+    return _extremal_rows(table._rows_at(c))
+
+
+def _ray_at(table, c, proven):
+    """The grid ray c, its profile and verdicts from one reading of the
+    table's rows; extremal without a test when the whole cone is proven."""
+    rows = table._rows_at(c)
+    prof = _read(c, table.setup.p, rows)
+    return RayClassification(c=c, extremal=proven or _extremal_rows(rows),
+                             cscS=cscS_check(prof), F=prof.F)
+
+
+def _cone_rows(table):
+    """H = sign(D) P/(1-z^2) as integer rows, one per power of z, each its
+    coefficients in c.
+
+    D has no root in (-1, 1) (profile module docstring), so sign(D(0)) is
+    its sign at every ray.  P = (1-z^2) Q gives Q_k = P_k + Q_(k-2), and the
+    division is exact when the last two remainders Q_(p-1), Q_p are zero, as
+    P(+-1, c) = 0 on a certified table; InexactDivision otherwise.
+    """
+    D, _, _, *P = table._rows
+    Q = []
+    for k, Pk in enumerate(P):
+        Q.append(Pk + Q[k - 2] if k >= 2 else Pk)
+    if Q[-2] or Q[-1]:
+        raise InexactDivision("the table's P is not divisible by 1-z^2 over Z[c]")
+    sign = 1 if D.coeffs[0] > 0 else -1
+    return [[sign * v for v in q.coeffs] for q in Q[:-2]]
 
 
 def _bisect_transition(table, lo, hi, lo_extremal, boundary_width):
@@ -134,8 +180,14 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
         raise DomainError("boundary_width must be positive")
 
     table = profile_table(setup)
+    boxes = certify_positive(_cone_rows(table))
+    proven = boxes is not None
+
+    def extremal_at(c):
+        return proven or _is_extremal_at(table, c)
+
     grid = [Fraction(-1) + Fraction(2 * i, grid_n + 1) for i in range(1, grid_n + 1)]
-    rays = [_classify(table.profile_at(c)) for c in grid]
+    rays = [_ray_at(table, c, proven) for c in grid]
 
     # boundary brackets between runs of constant extremality, plus the edges
     borders = [(Fraction(-1), Fraction(-1))]
@@ -156,11 +208,11 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
     entries = []
     for root in csc_roots(setup, boundary_width):
         if root.exact_value is not None:
-            genuine = _is_extremal_at(table, root.exact_value)
+            genuine = extremal_at(root.exact_value)
             contested = False
         else:
-            at_lo = _is_extremal_at(table, root.lo)
-            at_hi = _is_extremal_at(table, root.hi)
+            at_lo = extremal_at(root.lo)
+            at_hi = extremal_at(root.hi)
             contested = at_lo != at_hi
             genuine = None if contested else at_lo
         entries.append(CscRayEntry(root=root, genuine=genuine, contested=contested))
@@ -174,5 +226,6 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
         csc_rays=tuple(entries),
         slope_map=slope_map,
         boundary_width=boundary_width,
-        connectivity="sampled",
+        connectivity="proven" if proven else "sampled",
+        whole_cone_boxes=boxes,
     )

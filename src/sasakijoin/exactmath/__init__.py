@@ -1,4 +1,5 @@
-"""Exact arithmetic layer: rationals, polynomials, quadrature, linear solving, roots."""
+"""Exact arithmetic layer: rationals, polynomials, quadrature, linear solving, roots,
+Bernstein positivity certificates."""
 
 from .rationals import Rational, parse_rational, format_rational, decimal_str
 from .unipoly import UniPoly, exact_divide, poly_gcd, squarefree_part
@@ -14,6 +15,7 @@ from .roots import (
     simplest_rational_in,
     identify_rational_root,
 )
+from .bernstein import certify_positive
 
 __all__ = [
     "Rational",
@@ -34,4 +36,5 @@ __all__ = [
     "isolate_roots",
     "simplest_rational_in",
     "identify_rational_root",
+    "certify_positive",
 ]

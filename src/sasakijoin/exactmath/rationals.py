@@ -6,6 +6,7 @@ display rendering next to the exact string.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 from ..errors import DomainError
@@ -16,7 +17,9 @@ Rational = Fraction
 def parse_rational(text):
     """Parse "p/q" or an integer string, -?[0-9]+(/[0-9]+)? once stripped,
     into a Rational.  Decimals are rejected: silent precision loss is worse
-    than an error.  So are "+", digit separators and non-ASCII digits."""
+    than an error.  So are "+", digit separators and non-ASCII digits, and
+    integers longer than the int->str digit limit (sys.get_int_max_str_digits),
+    with a DomainError that names the limit."""
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, Fraction):
@@ -27,9 +30,16 @@ def parse_rational(text):
     if match is None:
         raise DomainError(f"not a rational p/q (decimal notation is rejected): {text!r}")
     num, den = match.groups(default="1")
-    if int(den) == 0:
+    try:
+        num, den = int(num), int(den)
+    except ValueError:
+        # the regex leaves only the int->str digit limit to exceed
+        digits, limit = max(len(num.lstrip("-")), len(den)), sys.get_int_max_str_digits()
+        raise DomainError(f"a {digits}-digit integer is past the {limit}-digit "
+                          "limit of integer conversion") from None
+    if den == 0:
         raise DomainError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(num, den)
 
 
 # Every int->str digit limit allows 640 digits (sys.int_info

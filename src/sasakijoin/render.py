@@ -62,9 +62,9 @@ def region_field(region):
     return {"left": _bracket_field(region.left), "right": _bracket_field(region.right)}
 
 
-def _document(command):
+def _document(command, schema=1):
     return {
-        "schema": 1,
+        "schema": schema,
         "generator": {"name": "sasakijoin", "version": __version__},
         "command": command,
     }
@@ -96,11 +96,12 @@ def roots_document(setup, width, roots):
 
 
 def scan_document(report):
-    doc = _document("scan")
+    doc = _document("scan", schema=2)
     doc.update({
         "setup": setup_field(report.setup),
         "boundary_width": number_field(report.boundary_width),
         "connectivity": report.connectivity,
+        "whole_cone_boxes": report.whole_cone_boxes,
         "rays": [
             {
                 "c": number_field(r.c),

@@ -291,6 +291,18 @@ def test_non_ascii_digits_are_a_usage_error(capsys):
     assert "--x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1" + "0" * 5000, "-1/1" + "0" * 5000],
+                         ids=["numerator", "denominator"])
+def test_flag_value_past_the_digit_limit_is_a_one_line_usage_error(capsys, value):
+    with digit_limit(4300), pytest.raises(SystemExit) as err:
+        cli.main(["csc-roots", "--d", "1", "--a", value, "--g2", "1", "--k", "1",
+                  "--x", "1/2"])
+    assert err.value.code == 1
+    _, message = capsys.readouterr().err.split("\nsasakijoin csc-roots: error: ")
+    assert message == ("argument --a: a 5001-digit integer is past the 4300-digit "
+                       "limit of integer conversion\n")
+
+
 def test_missing_required_flag(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["profile", "--d", "1", "--a", "1", "--g2", "0", "--k", "1"])

@@ -1,5 +1,6 @@
 """Full cone scans: certified regions, moats, ray classification, slopes."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from sasakijoin import (
     slope,
     UniPoly,
 )
+import sasakijoin.conescan as conescan
 from sasakijoin.conescan import is_extremal
 from sasakijoin.errors import DomainError
 from support import (
@@ -27,6 +29,7 @@ from support import (
     setup_no_csc,
     setup_positive_example,
     setup_three_roots,
+    setup_twin_pair,
 )
 
 F = Fraction
@@ -183,3 +186,56 @@ def test_scan_surfaces_contested_roots():
     assert entry.root.lo < report.moats[0].left[1]
     settled = [e for e in report.csc_rays if not e.contested]
     assert all(e.genuine is not None for e in settled)
+
+
+# -- the whole-cone certificate ------------------------------------------------------
+
+def _count_positivity_tests(monkeypatch):
+    calls = []
+    test = conescan.is_positive_on_open
+
+    def counting(*args):
+        calls.append(args)
+        return test(*args)
+
+    monkeypatch.setattr(conescan, "is_positive_on_open", counting)
+    return calls
+
+
+def test_a_proven_cone_makes_no_positivity_test(monkeypatch):
+    # the moat family at x = 8/10 is extremal on the whole cone, with three
+    # cscS roots, all genuine
+    calls = _count_positivity_tests(monkeypatch)
+    report = scan(setup_moat(F(8, 10)), grid_n=33)
+    assert calls == []
+    assert report.connectivity == "proven"
+    assert report.whole_cone_boxes >= 1
+    assert all(ray.extremal for ray in report.rays)
+    assert report.extremal_intervals == (conescan.ConeInterval((F(-1), F(-1)), (F(1), F(1))),)
+    assert report.moats == ()
+    assert len(report.csc_rays) == 3
+    assert all(e.genuine is True and not e.contested for e in report.csc_rays)
+
+
+def test_the_moat_scan_keeps_its_positivity_tests(monkeypatch):
+    # 16 grid rays, the bisections of two transitions and the three roots
+    calls = _count_positivity_tests(monkeypatch)
+    report = scan(setup_moat(F(9, 10)), grid_n=16)
+    assert len(calls) == 37
+    assert (report.connectivity, report.whole_cone_boxes) == ("sampled", None)
+
+
+def test_the_proof_changes_no_verdict(monkeypatch):
+    # with the certificate switched off, the same setups take the ray-by-ray
+    # path and report the same rays, regions and root labels
+    rng = random.Random(22)
+    setups = [setup_moat(F(8, 10)), setup_twin_pair(), setup_positive_example()]
+    setups += [random_setup(rng, d=d) for d in (1, 2, 3)]
+    proven = [scan(setup, grid_n=16) for setup in setups]
+    monkeypatch.setattr(conescan, "certify_positive", lambda rows: None)
+    for setup, report in zip(setups, proven):
+        assert report.connectivity == "proven"
+        sampled = scan(setup, grid_n=16)
+        assert sampled.connectivity == "sampled"
+        assert dataclasses.replace(report, connectivity="sampled",
+                                   whole_cone_boxes=None) == sampled

@@ -33,3 +33,12 @@ def test_every_traced_function_resolves():
     # evaluation is counted through UniPoly.__call__ (getattr would also find
     # type.__call__, which every class has)
     assert "__call__" in vars(sasakijoin.exactmath.UniPoly)
+
+
+def test_the_bernstein_kernel_has_one_exported_entry_point():
+    from sasakijoin.exactmath import bernstein
+    public = [name for name in vars(bernstein) if callable(getattr(bernstein, name))
+              and not name.startswith("_") and getattr(bernstein, name).__module__
+              == bernstein.__name__]
+    assert public == ["certify_positive"]
+    assert "certify_positive" in sasakijoin.exactmath.__all__
