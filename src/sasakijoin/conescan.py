@@ -15,8 +15,10 @@ genuine of every cscS root follow with no Sturm test, and connectivity is
 "proven".
 
 Otherwise extremality is decided ray by ray, exactly, by a Sturm count over
-the integers on sign(D) P at the ray, read off the table's integer rows and
-divided by 1-z^2.  Each extremal/non-extremal transition between grid points
+the integers on sign(D) P/(1-z^2), read off the ray's integer rows
+(D, P1, P2, P_0..P_p) (_extremal_rows).  classify_ray reads the same test
+off the rows compute_profile keeps in its profile, so no verdict clears F
+back to integers.  Each extremal/non-extremal transition between grid points
 is bisected down to a bracket of width <= boundary_width, and a cscS root is
 labelled by the verdict at its exact value, or at both ends of its bracket.
 Regions are reported with bracket endpoints, since the exact boundary between
@@ -31,7 +33,7 @@ from typing import Optional, Tuple
 from .cscs import csc_roots
 from .errors import DomainError, InexactDivision
 from .exactmath import IntPoly, UniPoly, certify_positive, is_positive_on_open
-from .profile import _read, compute_profile, cscS_check, profile_table
+from .profile import compute_profile, cscS_check, profile_table
 
 
 @dataclass(frozen=True)
@@ -90,27 +92,27 @@ class ConeScanReport:
 _ONE_MINUS_Z2 = IntPoly((1, 0, -1))
 
 
-def _positive_inside(P):
-    """True iff P, a profile times a positive factor in Z[z], is positive on
-    (-1, 1), i.e. P/(1-z^2) is; the division is exact over Z (InexactDivision
-    otherwise), so the Sturm test runs on an integer polynomial."""
-    return is_positive_on_open(P.exact_div(_ONE_MINUS_Z2), Fraction(-1), Fraction(1))
+def _extremal_rows(rows):
+    """True iff the profile of the integer rows (D, P1, P2, P_0..P_p) of one
+    ray is positive on (-1, 1), i.e. F/(1-z^2) is.  sign(D) P is F times a
+    positive factor, and its division by 1-z^2 is exact over Z
+    (InexactDivision otherwise), so the Sturm test runs on an integer
+    polynomial and makes no Fraction."""
+    D, _, _, *P = rows
+    H = (IntPoly(P) if D > 0 else -IntPoly(P)).primitive().exact_div(_ONE_MINUS_Z2)
+    return is_positive_on_open(H, Fraction(-1), Fraction(1))
 
 
-def is_extremal(F):
-    """True iff the profile F is positive on (-1, 1), i.e. F/(1-z^2) is.
-
-    F's denominators are cleared once, by a positive factor, so the test
-    makes no Fraction.
-    """
-    return _positive_inside(IntPoly.from_unipoly(F))
+def _ray(prof, proven=False):
+    """The ray of a profile with its two verdicts, extremal read off the
+    profile's rows, or without a test when the whole cone is proven."""
+    return RayClassification(c=prof.c, extremal=proven or _extremal_rows(prof.rows),
+                             cscS=cscS_check(prof), F=prof.F)
 
 
 def classify_ray(setup, c):
     """Profile plus the two verdicts for a single ray: extremal and cscS."""
-    prof = compute_profile(setup, c)
-    return RayClassification(c=prof.c, extremal=is_extremal(prof.F),
-                             cscS=cscS_check(prof), F=prof.F)
+    return _ray(compute_profile(setup, c))
 
 
 def slope(c):
@@ -121,25 +123,9 @@ def slope(c):
     return (1 - c) / (1 + c)
 
 
-def _extremal_rows(rows):
-    """is_extremal for the integer rows (D, P1, P2, P_0..P_p) of one ray:
-    sign(D) P is F times a positive factor."""
-    D, _, _, *P = rows
-    return _positive_inside((IntPoly(P) if D > 0 else -IntPoly(P)).primitive())
-
-
 def _is_extremal_at(table, c):
-    """is_extremal at the ray c, read off the table's integer rows."""
+    """The extremal verdict at the ray c, read off the table's integer rows."""
     return _extremal_rows(table._rows_at(c))
-
-
-def _ray_at(table, c, proven):
-    """The grid ray c, its profile and verdicts from one reading of the
-    table's rows; extremal without a test when the whole cone is proven."""
-    rows = table._rows_at(c)
-    prof = _read(c, table.setup.p, rows)
-    return RayClassification(c=c, extremal=proven or _extremal_rows(rows),
-                             cscS=cscS_check(prof), F=prof.F)
 
 
 def _cone_rows(table):
@@ -187,7 +173,7 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
         return proven or _is_extremal_at(table, c)
 
     grid = [Fraction(-1) + Fraction(2 * i, grid_n + 1) for i in range(1, grid_n + 1)]
-    rays = [_ray_at(table, c, proven) for c in grid]
+    rays = [_ray(table.profile_at(c), proven) for c in grid]
 
     # boundary brackets between runs of constant extremality, plus the edges
     borders = [(Fraction(-1), Fraction(-1))]

@@ -89,6 +89,8 @@ class IntPoly:
         is other's leading coefficient and delta = deg self - deg other; self
         itself when deg self < deg other.  The multiplier is positive, so r is
         a positive multiple of the remainder over Q."""
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
         b = other.coeffs if other.coeffs[-1] > 0 else tuple(-v for v in other.coeffs)
         e, lc = len(b) - 1, b[-1]
         rem = list(self.coeffs)
@@ -123,6 +125,8 @@ class IntPoly:
     def exact_div(self, other):
         """Quotient q with self = q other exactly over Z; InexactDivision
         otherwise."""
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
         b = other.coeffs
         e, lc = len(b) - 1, b[-1]
         rem = list(self.coeffs)

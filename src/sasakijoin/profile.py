@@ -25,12 +25,13 @@ the right side and _ode_map the left.  A profile is one set of integer rows
 _endpoint_solve derives at one ray c = n/m for compute_profile, or once over
 Z[c] for profile_table (F(z; c) = P(z, c)/D(c) for every ray of a setup).
 _certify checks the rows exactly through the same map, also for the p = 4
-closed form of twins.cp1_profile, and _read divides them by D.  Moments
-enter this module only through the proof above; the cleared moments behind
-the cscS numerator are in cscs.
+closed form of twins.cp1_profile, and _read divides them by D and keeps
+them in the profile: the extremal verdict (conescan) and the twin equations
+(twins) read the rows, not F.  Moments enter this module only through the
+proof above; the cleared moments behind the cscS numerator are in cscs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
@@ -42,14 +43,16 @@ from .joinsetup import ProductSetup
 
 @dataclass(frozen=True)
 class ExtremalProfile:
-    """Solved profile data for one ray: parameter c, polynomial F, and the
-    affine weighted-scalar coefficients A1, A2."""
+    """Solved profile data for one ray: parameter c, polynomial F, the
+    affine weighted-scalar coefficients A1, A2, and the integer rows they are
+    read from, which every verdict reads (out of equality and repr)."""
 
     c: Fraction
     F: UniPoly
     A1: Fraction
     A2: Fraction
     p: int
+    rows: tuple = field(compare=False, repr=False)
 
 
 def _right_side(p, a, s, x):
@@ -150,7 +153,8 @@ def _read(c, p, rows):
     """The ExtremalProfile at c of integer rows (D, P1, P2, P_0..P_p)."""
     D, P1, P2, *P = rows
     return ExtremalProfile(c=c, F=UniPoly(Fraction(Pk, D) for Pk in P),
-                           A1=Fraction(P1, D), A2=Fraction(P2, D), p=p)
+                           A1=Fraction(P1, D), A2=Fraction(P2, D), p=p,
+                           rows=tuple(rows))
 
 
 def compute_profile(setup, c):

@@ -11,10 +11,10 @@ inputs give identical text.
 
 import os
 import tempfile
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._version import __version__
+from .conescan import slope
 from .errors import DomainError
 from .exactmath import decimal_str, format_rational
 
@@ -314,10 +314,7 @@ def _bracket_slope(bracket):
     lo, hi = bracket
     if lo == hi == -1:
         return None  # vertical
-    if lo == hi == 1:
-        return Fraction(0)
-    mid = (lo + hi) / 2
-    return (1 - mid) / (1 + mid)
+    return slope((lo + hi) / 2)
 
 
 def _wedge_path(slope_hi, slope_lo):
@@ -357,8 +354,7 @@ def scan_svg(report):
     for entry in report.csc_rays:
         root = entry.root
         value = root.exact_value if root.exact_value is not None else root.midpoint
-        m = (1 - value) / (1 + value)
-        end = _edge_point(m)
+        end = _edge_point(slope(value))
         if entry.contested:
             color, dash = "#cc8800", ' stroke-dasharray="2,2"'
         elif entry.genuine:

@@ -37,17 +37,19 @@ class TwinReport:
     unresolved: tuple = ()
 
 
-def _twin_equations(setup, F):
-    """Rows in Z[c'] whose common vanishing makes F the profile at c'.
+def _twin_equations(setup, rows):
+    """Rows in Z[c'] whose common vanishing makes the profile F = P/D of the
+    integer rows (D, P1, P2, P_0..P_p) the profile at c'.
 
-    With F = P/D cleared to ints, profile._ode_map gives L D times the z^k
-    coefficient of T0 + T1 c' + T2 c'^2, the ODE defect of F at c' less its
-    affine part, as a row (e0, e1, e2).  A partner needs the rows of
+    The rows are negated when D < 0, as it always is in practice, so D > 0
+    and profile._ode_map gives L D > 0 times the z^k coefficient of
+    T0 + T1 c' + T2 c'^2, the ODE defect of F at c' less its affine part, as
+    a row (e0, e1, e2).  A partner needs the rows of
     z^p..z^3 to vanish and E0 + E1 z + E2 z^2 to be divisible by 1 + xz:
     with x = xn/xd, the last row xn^2 E0 - xn xd E1 + xd^2 E2 is xd^2 times
     its value at z = -1/x.
     """
-    D, *P = IntPoly.from_unipoly(UniPoly([1, *F.coeffs])).coeffs
+    D, _, _, *P = rows if rows[0] > 0 else [-v for v in rows]
     L, _, right = _right_side(setup.p, setup.a, setup.s, setup.x)
     E = [IntPoly(e) for e in _ode_map(L, right, D, P)]
     xn, xd = setup.x.numerator, setup.x.denominator
@@ -89,7 +91,7 @@ def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
     if search_width <= 0:
         raise DomainError("search_width must be positive")
     base = compute_profile(setup, c)
-    nontrivial = [eq for eq in _twin_equations(setup, base.F) if eq]
+    nontrivial = [eq for eq in _twin_equations(setup, base.rows) if eq]
     if not nontrivial:
         raise InternalInconsistency(
             f"twin matching system vanished identically at c={base.c}")

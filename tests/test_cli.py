@@ -23,6 +23,8 @@ THREE_ROOTS_FLAGS = ["--d", "1", "--a", "419/19", "--g2", "11", "--k", "9",
                      "--x", "9/10"]
 TWIN_PAIR_FLAGS = ["--d", "1", "--a", "19/3", "--g2", "3", "--k", "1",
                    "--x", "1/2"]
+POSITIVE_FLAGS = ["--d", "1", "--a", "-2675/497", "--g2", "2", "--k", "1",
+                  "--x", "1/2"]
 # p = 7: two transitions and three irrational cscS roots
 P7_THREE_ROOTS_FLAGS = ["--d", "3", "--a", "45", "--g2", "11", "--k", "3",
                         "--x", "7/9"]
@@ -127,6 +129,9 @@ def test_join_command(capsys):
     ("csc_roots_d22_width_1000",
      ["csc-roots", "--d", "22", "--a", "3", "--g2", "2", "--k", "1", "--x", "1/2",
       "--width", "1/1000"]),
+    # one ray's profile and verdicts: a non-extremal and an extremal cscS ray
+    ("profile_no_csc_c_2_5", ["profile", *NO_CSC_FLAGS, "--c", "2/5"]),
+    ("profile_positive_example_c_1_8", ["profile", *POSITIVE_FLAGS, "--c", "1/8"]),
 ])
 def test_coarse_width_documents_are_golden(capsys, name, args):
     # brackets wider than the cone still come back inside (-1, 1), and full
@@ -166,6 +171,15 @@ def test_scan_artifacts_are_deterministic(capsys, tmp_path):
     assert 'version="1.1"' in svg_text
     assert "viewBox" in svg_text
     assert "legend" in svg_text or "csc" in svg_text
+
+
+def test_moat_scan_diagram_is_golden(capsys, tmp_path):
+    # the moat wedge and the cscS rays are drawn at conescan.slope
+    svg = tmp_path / "moat.svg"
+    code, _, err = run_cli(capsys, ["scan", *MOAT_FLAGS, "--grid-n", "16",
+                                    "--svg", str(svg)])
+    assert (code, err) == (0, "")
+    assert svg.read_text() == (GOLDEN / "scan_moat_grid_16.svg").read_text()
 
 
 def test_written_files_get_the_mode_of_a_plain_file(capsys, tmp_path):

@@ -18,7 +18,7 @@ from sasakijoin import (
     UniPoly,
 )
 import sasakijoin.conescan as conescan
-from sasakijoin.conescan import is_extremal
+from sasakijoin.conescan import _extremal_rows
 from sasakijoin.errors import DomainError
 from support import (
     ONE_MINUS_Z2,
@@ -56,8 +56,9 @@ def test_classify_ray_examples():
 
 @pytest.mark.parametrize("p", range(5, 11))
 def test_is_extremal_matches_sympy_near_the_cone_ends(p):
-    # the cleared coefficients of F are largest near c = +-1; sympy decides
-    # extremality as: G = F/(1-z^2) has no real root in (-1, 1) and G(0) > 0
+    # the integer rows of a profile are largest near c = +-1; the verdict
+    # reads them, and sympy decides extremality from F as: G = F/(1-z^2) has
+    # no real root in (-1, 1) and G(0) > 0
     z = sp.Symbol("z")
     rng = random.Random(p)
     end = 1 - F(1, 2 ** 30)
@@ -65,12 +66,12 @@ def test_is_extremal_matches_sympy_near_the_cone_ends(p):
     for a, x in ((-40, F(1, 2)), (-5, F(9, 10))):
         table = profile_table(make_setup(d=p - 4, a=a, genus_g2=3, degree_k=1, x=x))
         for c in rays:
-            profile = table.profile_at(c).F
+            profile = table.profile_at(c)
             G = sp.Poly([sp.Rational(v.numerator, v.denominator)
-                         for v in reversed(profile.coeffs)], z).exquo(sp.Poly(1 - z * z, z))
+                         for v in reversed(profile.F.coeffs)], z).exquo(sp.Poly(1 - z * z, z))
             want = (G.eval(0) > 0
                     and not any(bool(-1 < r) and bool(r < 1) for r in G.real_roots()))
-            assert is_extremal(profile) == want
+            assert _extremal_rows(profile.rows) == want
 
 
 # -- slope coordinates ------------------------------------------------------------

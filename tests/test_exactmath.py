@@ -161,6 +161,20 @@ def test_intpoly_exact_division_is_over_the_integers():
     assert IntPoly((2, 2)).exact_div(IntPoly((1, 1))).coeffs == (2,)
 
 
+@pytest.mark.parametrize("num", [IntPoly((1, 2, 3)), IntPoly()])
+def test_intpoly_exact_division_by_zero_raises_like_exact_divide(num):
+    with pytest.raises(ZeroDivisionError):
+        num.exact_div(IntPoly())
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(UniPoly(num.coeffs), UniPoly())
+
+
+@pytest.mark.parametrize("num", [IntPoly((1, 2, 3)), IntPoly()])
+def test_intpoly_pseudo_remainder_by_zero_raises(num):
+    with pytest.raises(ZeroDivisionError):
+        num.prem(IntPoly())
+
+
 def test_poly_gcd_and_squarefree():
     zm1 = UniPoly((-1, 1))
     assert poly_gcd(zm1 * UniPoly((2, 1)), zm1 * UniPoly((3, 1))) == zm1

@@ -1,16 +1,20 @@
 """Every exported name resolves, so a removal cannot leave a dangling export;
 nor can it leave the benchmark's tracer with a function it no longer finds."""
 
+import contextlib
 import importlib
+import io
 import runpy
 from pathlib import Path
 
 import pytest
 
 import sasakijoin
+import sasakijoin.cli
 import sasakijoin.exactmath
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 @pytest.mark.parametrize("module", [sasakijoin, sasakijoin.exactmath],
@@ -33,6 +37,23 @@ def test_every_traced_function_resolves():
     # evaluation is counted through UniPoly.__call__ (getattr would also find
     # type.__call__, which every class has)
     assert "__call__" in vars(sasakijoin.exactmath.UniPoly)
+
+
+@pytest.mark.parametrize("workload", ["scan", "rays", "roots"])
+def test_a_traced_pass_reads_no_null_metric(workload):
+    # the first item of the workload's pool, run in-process under the
+    # benchmark's tracer: a metric that reads null makes a benchmark run
+    # malformed output
+    tracer = runpy.run_path(str(TRACER))["Tracer"]()
+    item = runpy.run_path(str(PERFBENCH / "workloads.py"))["candidates"](workload)[0]
+    tracer.install()
+    try:
+        for argv in item:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert sasakijoin.cli.main(list(argv)) == 0
+    finally:
+        tracer.uninstall()
+    assert [name for name, value in tracer.snapshot().items() if value is None] == []
 
 
 def test_the_bernstein_kernel_has_one_exported_entry_point():

@@ -87,7 +87,8 @@ def test_twin_equations_are_the_ode_defect(p):
     # sympy expands the ODE defect independently of _twin_equations
     rng = random.Random(p)
     setup = random_setup(rng, d=p - 4)
-    F_ = compute_profile(setup, F(rng.randint(-9, 9), 10)).F
+    prof = compute_profile(setup, F(rng.randint(-9, 9), 10))
+    F_ = prof.F
     z = sympy.Symbol("z")
     F_sym = sum(sympy.Rational(c.numerator, c.denominator) * z ** i
                 for i, c in enumerate(F_.coeffs))
@@ -102,7 +103,7 @@ def test_twin_equations_are_the_ode_defect(p):
     # divisibility row L D xd^2 times its, for one positive L D
     want[-1] = [v * setup.x.denominator ** 2 for v in want[-1]]
     got = [list(eq.coeffs) + [0] * (3 - len(eq.coeffs))
-           for eq in _twin_equations(setup, F_)]
+           for eq in _twin_equations(setup, prof.rows)]
     scale = next(g / w for g_row, w_row in zip(got, want) for g, w in zip(g_row, w_row) if w)
     assert scale > 0
     assert got == [[scale * w for w in row] for row in want]
@@ -175,7 +176,7 @@ def test_twin_gcd_has_the_base_ray_as_a_root():
         for _ in range(8):
             setup = random_setup(rng, d=p - 4)
             c = random_c(rng)
-            equations = _twin_equations(setup, compute_profile(setup, c).F)
+            equations = _twin_equations(setup, compute_profile(setup, c).rows)
             assert all(eq.degree <= 2 and eq.homogeneous(c) == 0 for eq in equations)
             # sympy takes the gcd independently of IntPoly.remainder_sequence
             common = reduce(sympy.gcd, [sympy.Poly(eq.coeffs[::-1], cp) for eq in equations if eq])
