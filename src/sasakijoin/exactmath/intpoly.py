@@ -5,12 +5,14 @@ The ring operations +, - and x each also take a plain int, so x by an int is
 int scaling.  On top of them are derivative, content and primitive part, the
 pseudo-remainder with a positive multiplier, the package's one remainder
 sequence (the primitive PRS of Collins and Brown-Traub, read by Sturm chains
-and gcds alike), exact division, and homogeneous evaluation, whose sign is the
-sign of the value at a rational point, given as a Fraction or as an integer
-pair n, m > 0 not necessarily in lowest terms.  Staying in Z skips the gcd
-that every Fraction operation pays; from_unipoly and UniPoly(poly.coeffs)
-convert.  The cscS numerator is built with IntPolys, and root isolation
-bisects on integer numerators.
+and gcds alike), exact division, the value at 2^bits and its inverse on
+small coefficients (pack and unpack, Kronecker substitution), and
+homogeneous evaluation, whose sign is the sign of the value at a rational
+point, given as a Fraction or as an integer pair n, m > 0 not necessarily in
+lowest terms.  Staying in Z skips the gcd that every Fraction operation
+pays; from_unipoly and UniPoly(poly.coeffs) convert.  The cscS numerator is
+built with IntPolys, root isolation bisects on integer numerators, and the
+profile table is solved at one power of two and unpacked.
 """
 
 from math import gcd, lcm
@@ -140,6 +142,27 @@ class IntPoly:
         if any(rem):
             raise InexactDivision(f"{self.coeffs!r} is not divisible by {b!r} over Z")
         return IntPoly(q)
+
+    def pack(self, bits):
+        """The value at 2^bits, an int (Kronecker substitution)."""
+        acc = 0
+        for u in reversed(self.coeffs):
+            acc = (acc << bits) + u
+        return acc
+
+    @classmethod
+    def unpack(cls, value, bits):
+        """The IntPoly whose value at 2^bits is value and whose coefficients
+        lie in [-2^(bits-1), 2^(bits-1)): the balanced base-2^bits digits of
+        value, which are unique.  So unpack(p.pack(bits), bits) has the
+        coefficients of every p whose coefficients lie below 2^(bits-1) in
+        absolute value."""
+        coeffs, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
+        while value:
+            digit = ((value + half) & mask) - half
+            coeffs.append(digit)
+            value = (value - digit) >> bits
+        return cls(coeffs)
 
     def homogeneous(self, n, m=None):
         """m^deg self(n/m) for ints n and m > 0, in lowest terms or not: an

@@ -16,25 +16,30 @@ gives G'' = -(d1 z + d2) omega(z) with omega(t) = (1 + xt)/(ct+1)^(p+1),
 and G, G' vanish at +-1.  So G'' integrates to 0 against 1 and t on [-1, 1]:
 (d2, d1) is in the kernel of the Gram matrix of (1, t) for the weight omega,
 which is definite as omega > 0 on (-1, 1).  Thus d = 0, G'' = 0 and
-G = H = 0.  A kernel vector (F_0, F_1, A1, A2) of the endpoint system of
+G = H = 0.  A kernel vector (F_0, F_1/p, A1, A2) of the endpoint system of
 _endpoint_solve is such an H, so that system is nonsingular for |c| < 1.
 
 The z^k coefficient of the ODE is written once, over Z: _right_side holds
 the right side and _ode_map the left.  A profile is one set of integer rows
 (D, P1, P2, P_0..P_p), F = P/D and (A1, A2) = (P1, P2)/D, which
-_endpoint_solve derives at one ray c = n/m for compute_profile, or once over
-Z[c] for profile_table (F(z; c) = P(z, c)/D(c) for every ray of a setup).
-_certify checks the rows exactly through the same map, also for the p = 4
-closed form of twins.cp1_profile, and _read divides them by D and keeps
-them in the profile: the extremal verdict (conescan) and the twin equations
-(twins) read the rows, not F.  Moments enter this module only through the
-proof above; the cleared moments behind the cscS numerator are in cscs.
+_endpoint_solve derives in the binomial basis F_k = C(p, k) E_k, where the
+ODE is a second difference in E.  compute_profile runs it at one ray
+c = n/m.  profile_table runs it at the one integer point c = 2^B, B proven
+large enough by the same solve run on 1-norm majorants (_Norm), and reads
+each row's value back as its coefficients over Z[c] (F(z; c) =
+P(z, c)/D(c) for every ray of a setup), with no polynomial product.
+_certify checks the rows exactly through the same map (the table at one
+integer point, ProfileTable), also for the p = 4 closed form of
+twins.cp1_profile, and _read divides them by D and keeps them in the
+profile: the extremal verdict (conescan) and the twin equations (twins)
+read the rows, not F.  Moments enter this module only through the proof
+above; the cleared moments behind the cscS numerator are in cscs.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import DomainError, InternalInconsistency
 from .exactmath import IntPoly, UniPoly
@@ -81,61 +86,141 @@ def _ode_map(L, right, D, P):
             for k, (t0, t1, t2, _, _) in enumerate(right)]
 
 
-def _certify(side, n, m, rows, what):
-    """Raise InternalInconsistency unless rows = (D, P1, P2, P_0..P_p), ints
-    at c = n/m or IntPolys with n = c and m = 1, meet the identities listed
-    under ProfileTable, which are linear in the rows, times L (the ODE's also
-    times m^2, as _ode_map gives it), for side = _right_side(p, a, s, x)."""
+class _Norm:
+    """A majorant of the 1-norm nu(f), the sum of the absolute values of the
+    coefficients, of an integer polynomial f in c.  As nu(f + g) and
+    nu(f - g) are at most nu(f) + nu(g), nu(f g) <= nu(f) nu(g) and
+    nu(k) = |k| for an int k, ring arithmetic run on _Norms, ints mixed in,
+    gives a majorant of the 1-norm of every result: _Norm(1) stands for c."""
+
+    __slots__ = ("bound",)
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def __abs__(self):
+        return self.bound
+
+    def __add__(self, other):
+        return _Norm(self.bound + abs(other))
+
+    def __mul__(self, other):
+        return _Norm(self.bound * abs(other))
+
+    def __neg__(self):
+        return self
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+
+def _defects(side, n, m, rows):
+    """The defects of rows = (D, P1, P2, P_0..P_p), ints at c = n/m or
+    polynomials in c with n = c and m = 1, in the identities listed under
+    ProfileTable, as (which identity, value) pairs.  They are linear in the
+    rows, times L (the ODE's also times m^2, as _ode_map gives it), for
+    side = _right_side(p, a, s, x); the rows meet the identities iff every
+    value is 0."""
     L, Lx, right = side
     D, P1, P2, *P = rows
-    for k, ((e0, e1, e2), row) in enumerate(zip(_ode_map(L, right, D, P), right)):
-        if m * m * (e0 + row[3] * P1 + row[4] * P2) + n * m * e1 + n * n * e2:
-            raise InternalInconsistency(f"{what} fails the ODE at z^{k}")
+    out = [(f"the ODE at z^{k}",
+            m * m * (e0 + row[3] * P1 + row[4] * P2) + n * m * e1 + n * n * e2)
+           for k, ((e0, e1, e2), row) in enumerate(zip(_ode_map(L, right, D, P), right))]
     for sign in (1, -1):
         value = sum(sign ** k * Pk for k, Pk in enumerate(P))
         slope = L * sum(sign ** (k + 1) * k * Pk for k, Pk in enumerate(P))
-        if value or slope + 2 * sign * (L + sign * Lx) * D:
-            raise InternalInconsistency(f"{what} fails an endpoint condition")
+        out += [("an endpoint condition", value),
+                ("an endpoint condition", slope + 2 * sign * (L + sign * Lx) * D)]
+    return out
+
+
+def _certify(side, n, m, rows, what):
+    """Raise InternalInconsistency unless every defect of _defects(side, n, m,
+    rows) is 0."""
+    for which, value in _defects(side, n, m, rows):
+        if value:
+            raise InternalInconsistency(f"{what} fails {which}")
+
+
+def _clearing(p):
+    """(K, Q): K_k = p!/(k!(p-k-2)!) = p(p-1) C(p-2, k) for k = 0..3, the
+    weights of the ODE's z^k coefficient in the binomial basis, and Q their
+    lcm."""
+    K = [p * (p - 1) * comb(p - 2, k) for k in range(4)]
+    return K, lcm(*K)
 
 
 def _endpoint_solve(side, n, m):
-    """The profile at c = n/m from its Taylor recursion, in integers.
+    """The profile's rows at c = n/m from its recursion in the binomial
+    basis, in integers.
 
-    side is _right_side(p, a, s, x); n and m are ints for one ray, or n = c
-    as an IntPoly and m = 1 for every ray of a setup.  The z^k coefficient of
-    the ODE, for F = sum F_k z^k, is
-        (k+2)(k+1) F_(k+2) = r_k - c^2 (k-p)(k-p+1) F_k - 2c (k+1)(k+1-p) F_(k+1)
-    with r_k that of the right side.  With L from _right_side,
-    H_k = m^k k! L F_k obeys, over Z,
-        H_(k+2) = k! m^(k+2) L r_k(n/m) - (k-p)(k-p+1) n^2 H_k - 2(k+1-p) n H_(k+1),
-    so each H_k is an integer linear form in (1, H_0, H_1, A1, A2).  As
-    deg r <= 3 < p-1, the z^(p-1) and z^p equations read 0 = 0: deg F <= p.
+    side is _right_side(p, a, s, x); n and m are ints for one ray, or n is c
+    (an IntPoly, an int point of c, or _Norm(1)) and m = 1.  The z^k
+    coefficient of the ODE, for F = sum F_k z^k, is
+        (k+2)(k+1) F_(k+2) + 2c (k+1)(k+1-p) F_(k+1) + c^2 (k-p)(k-p+1) F_k = r_k
+    with r_k that of the right side, 0 for k >= 4.  Write F_k = C(p, k) E_k.
+    With K_k = p!/(k!(p-k-2)!), the three coefficients are
+        C(p, k+2) (k+2)(k+1) = K_k,  C(p, k+1) (k+1)(k+1-p) = -K_k,
+        C(p, k) (k-p)(k-p+1) = K_k,
+    so the equation is the second difference
+        E_(k+2) = 2c E_(k+1) - c^2 E_k + r_k/K_k,  k = 0..p-2.
+    With L from _right_side and Q = lcm(K_0..K_3) (_clearing),
+    H_k = m^k L Q E_k obeys, over Z,
+        H_(k+2) = 2n H_(k+1) - n^2 H_k + (Q/K_k) m^(k+2) L r_k(n/m),
+    so each H_k is an integer linear form in (1, H_0, H_1, A1, A2), one
+    recursion per coordinate.  As deg r <= 3 < p-1, the z^(p-1) and z^p
+    equations read 0 = 0: deg F <= p.
 
-    The endpoint conditions times p! m^p L are four integer equations
+    The endpoint conditions times m^p L Q are four integer equations
     W (1, H_0, H_1, A1, A2) = 0, with kernel v_i = (-1)^i det(W less column i).
     The five determinants share, by Laplace, the ten 2x2 minors of the value
     rows and the ten of the slope rows.  v_0 != 0 for |c| < 1 (module
-    docstring).  With G_k = sum_i v_i H_(k,i), so F_k = G_k/(v_0 m^k k! L),
-    the rows (D, P1, P2, P_k) = -(L w_0 v_0, L w_0 v_3, L w_0 v_4, w_k G_k),
-    w_k = (p!/k!) m^(p-k), are one multiple of (1, A1, A2, F_k).
+    docstring).  G_k = sum_i v_i H_(k,i) is the same recursion run once on
+    v, from (G_0, G_1) = (v_1, v_2), and F_k = C(p, k) G_k/(v_0 m^k L Q).  So
+    the rows (D, P1, P2, P_k) = -(L Q w_0 v_0, L Q w_0 v_3, L Q w_0 v_4,
+    w_k G_k), w_k = C(p, k) m^(p-k), are one multiple of (1, A1, A2, F_k).
+    The Taylor basis (H_k = m^k k! L F_k, conditions times p! m^p L) gives
+    the same rows times a positive rational: both are v_0 times a positive
+    int times (1, A1, A2, F_k), and the two v_0 differ by a positive factor,
+    as the two W differ by positive scalings of the rows and of the H_0 and
+    H_1 columns.  So their primitive parts, signs included, agree.
+
+    Majorant.  Every step is a ring operation with int constants, so the
+    run on n = _Norm(1), m = 1 gives, for each row, a majorant of the 1-norm
+    of that row over Z[c], and so of each of its coefficients.
     """
     L, Lx, right = side
     p = len(right) - 1
-    n2, m2 = n * n, m * m
-    H = [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
-    for k, (t0, t1, t2, b1, b2) in enumerate(right[:p - 1]):
-        # k! m^(k+2) L r_k(n/m) in the basis (1, H_0, H_1, A1, A2)
-        f = factorial(k) * m ** k
-        r = (f * (t0 * m2 + t1 * n * m + t2 * n2), 0, 0, -f * m2 * b1, -f * m2 * b2)
-        u, w = (k - p) * (k - p + 1) * n2, 2 * (k + 1 - p) * n
-        H.append(tuple(rk - u * hk - w * hk1 for rk, hk, hk1 in zip(r, H[k], H[k + 1])))
-    # p! m^p L times F(1), F(-1), F'(1) and F'(-1), less their targets
-    w = [factorial(p) // factorial(k) * m ** (p - k) for k in range(p + 1)]
-    ends = [[sign ** k * wk for k, wk in enumerate(w)] for sign in (1, -1)]
-    ends += [[sign * k * e for k, e in enumerate(end)] for sign, end in zip((1, -1), ends)]
-    rows = [[sum(e * h[i] for e, h in zip(end, H)) for i in range(5)] for end in ends]
-    rows[2][0] += 2 * (L + Lx) * w[0]
-    rows[3][0] -= 2 * (L - Lx) * w[0]
+    K, Q = _clearing(p)
+    n2, m2, twice_n = n * n, m * m, 2 * n
+    # (Q/K_k) m^(k+2) L r_k(n/m), k = 0..3, as its parts along 1, A1 and A2
+    sources = []
+    for k, (t0, t1, t2, b1, b2) in enumerate(right[:4]):
+        f = Q // K[k] * m ** k
+        sources.append((f * (t0 * m2 + t1 * n * m + t2 * n2), -f * m2 * b1, -f * m2 * b2))
+
+    def recursion(first, second, source=()):
+        E = [first, second]
+        for k in range(p - 1):
+            step = twice_n * E[k + 1] - n2 * E[k]
+            E.append(step + source[k] if k < len(source) else step)
+        return E
+
+    const, a1, a2 = zip(*sources)
+    H = [recursion(0, 0, const), recursion(1, 0), recursion(0, 1),
+         recursion(0, 0, a1), recursion(0, 0, a2)]
+    # m^p L Q times F(1), F(-1), F'(1) and F'(-1), less their targets, from
+    # the even and odd parts of sum w_k H_k and of sum k w_k H_k
+    w = [comb(p, k) * m ** (p - k) for k in range(p + 1)]
+    kw = [k * wk for k, wk in enumerate(w)]
+    rows = [[], [], [], []]
+    for column in H:
+        e, o, ek, ok = (sum(u * h for u, h in zip(weights[parity::2], column[parity::2]))
+                        for weights in (w, kw) for parity in (0, 1))
+        for row, value in zip(rows, (e + o, e - o, ek + ok, ok - ek)):
+            row.append(value)
+    rows[2][0] += 2 * (L + Lx) * Q * w[0]
+    rows[3][0] -= 2 * (L - Lx) * Q * w[0]
     mv, ms = ({(i, j): t[i] * b[j] - t[j] * b[i] for i, j in combinations(range(5), 2)}
               for t, b in (rows[:2], rows[2:]))
     v = []
@@ -145,8 +230,8 @@ def _endpoint_solve(side, n, m):
                + mv[k1, k4] * ms[k2, k3] + mv[k2, k3] * ms[k1, k4]
                - mv[k2, k4] * ms[k1, k3] + mv[k3, k4] * ms[k1, k2])
         v.append(-det if i % 2 else det)
-    return ([-L * w[0] * v[i] for i in (0, 3, 4)]
-            + [-wk * sum(hi * vi for hi, vi in zip(h, v)) for wk, h in zip(w, H)])
+    G = recursion(v[1], v[2], [v[0] * s0 + v[3] * s1 + v[4] * s2 for s0, s1, s2 in sources])
+    return [-L * Q * w[0] * v[i] for i in (0, 3, 4)] + [-wk * gk for wk, gk in zip(w, G)]
 
 
 def _read(c, p, rows):
@@ -194,6 +279,15 @@ class ProfileTable:
             = [D (cz+1)^2 (2a(1+xz) + 2sx) - (P1 z + P2)(1 + xz)]_k),
     P(+-1, c) = 0 and P_z(+-1, c) = -+2(1+-x) D; InternalInconsistency if not.
 
+    It checks them at one integer point.  An integer polynomial E with
+    nu(E) < X/2 (nu the 1-norm of _Norm) and E(X) = 0 is zero: its
+    coefficients are then its balanced base-X digits, which are unique, and
+    those of 0 are all 0.  Each defect of _defects is a polynomial in c, and
+    the run of _defects on the rows' 1-norms with c = _Norm(1) gives a
+    majorant M of every defect's 1-norm; so with X = 2^B > 2M, the defects
+    at c = X, read off the rows at X (IntPoly.pack), are all 0 iff the
+    identities hold.
+
     These identities make the table exact at every |c| < 1: profile_table's
     D is a positive multiple of minus the endpoint determinant, nonzero there
     (module docstring), and divided by D(c) they are the ODE and the endpoint
@@ -210,8 +304,12 @@ class ProfileTable:
         self._rows = tuple(rows)
         self._scale = Fraction(scale)
         self._degree = max(row.degree for row in self._rows)
-        _certify(_right_side(setup.p, setup.a, setup.s, setup.x), IntPoly((0, 1)), 1,
-                 self._rows, f"profile table for p={setup.p}")
+        side = _right_side(setup.p, setup.a, setup.s, setup.x)
+        norms = [_Norm(sum(map(abs, row.coeffs))) for row in self._rows]
+        bound = max(abs(value) for _, value in _defects(side, _Norm(1), 1, norms))
+        bits = bound.bit_length() + 1
+        _certify(side, 1 << bits, 1, [row.pack(bits) for row in self._rows],
+                 f"profile table for p={setup.p}")
 
     def _field(self, i):
         return UniPoly(self._scale * v for v in self._rows[i].coeffs)
@@ -239,20 +337,27 @@ class ProfileTable:
 def profile_table(setup):
     """The certified ProfileTable of a setup.
 
-    _endpoint_solve runs once over Z[c], with n = c and m = 1.  In the Taylor
-    basis (F_0, F_1, A1, A2), with the endpoint conditions unscaled, the 4x4
-    determinant is -D, the Cramer numerators of A1 and A2 are -P1 and -P2,
-    and P_k = D F_k.  Its rows are D, P1, P2 and P times (p!)^5 L^3; divided
-    by their content, the table's scale is content / ((p!)^5 L^3).  No degree
-    bound is assumed.
+    _endpoint_solve runs twice, with m = 1: on n = _Norm(1), which bounds
+    every coefficient of its rows over Z[c] by M, and at the one integer
+    point n = 2^B, B = bitlength(M) + 1.  Each row's value there is read
+    back as balanced base-2^B digits (IntPoly.unpack), which are its
+    coefficients as they lie below 2^(B-1) in absolute value.  With the
+    endpoint conditions unscaled, the 4x4 determinant in the unknowns
+    (F_0, F_1, A1, A2) is -D, the Cramer numerators of A1 and A2 are -P1 and
+    -P2, and P_k = D F_k.  The solve's unknowns are (H_0, H_1) =
+    L Q (F_0, F_1/p) and its conditions are times L Q, so its rows are D,
+    P1, P2 and P times p (L Q)^3; divided by their content, the table's
+    scale is content / (p (L Q)^3).  No degree bound is assumed.
     """
     if not isinstance(setup, ProductSetup):
         raise DomainError("profile_table needs a ProductSetup")
     side = _right_side(setup.p, setup.a, setup.s, setup.x)
-    rows = _endpoint_solve(side, IntPoly((0, 1)), 1)
+    bits = max(map(abs, _endpoint_solve(side, _Norm(1), 1))).bit_length() + 1
+    rows = [IntPoly.unpack(value, bits) for value in _endpoint_solve(side, 1 << bits, 1)]
     content = gcd(*(v for row in rows for v in row.coeffs))
+    LQ = side[0] * _clearing(setup.p)[1]
     return ProfileTable(setup, [IntPoly(v // content for v in row.coeffs) for row in rows],
-                        Fraction(content, factorial(setup.p) ** 5 * side[0] ** 3))
+                        Fraction(content, setup.p * LQ ** 3))
 
 
 def cscS_check(profile):

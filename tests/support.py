@@ -2,9 +2,12 @@
 
 import contextlib
 import json
+import runpy
 import sys
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, factorial
+from pathlib import Path
 
 from sasakijoin import UniPoly, exact_divide, integrate_weighted_monomial, make_setup
 from sasakijoin.exactmath.roots import (RootInterval, _prepare, _variations,
@@ -20,6 +23,7 @@ from sasakijoin.reproduce import (  # noqa: F401
 )
 
 ONE_MINUS_Z2 = UniPoly((1, 0, -1))
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def reference_dump(doc):
@@ -37,6 +41,19 @@ def digit_limit(limit):
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+def setup_of(argv):
+    """The setup of a CLI argv's --d, --a, --g2, --k and --x flags."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    return make_setup(d=int(flags["--d"]), a=Fraction(flags["--a"]),
+                      genus_g2=int(flags["--g2"]), degree_k=int(flags["--k"]),
+                      x=Fraction(flags["--x"]))
+
+
+def scan_pool():
+    """The argv of each of the 48 items of the benchmark's scan pool."""
+    return [argv for (argv,) in runpy.run_path(str(WORKLOADS))["candidates"]("scan")]
+
 
 def random_x(rng, max_den=20):
     den = rng.randint(3, max_den)
@@ -281,3 +298,56 @@ def reconstruct_weighted_scal(profile, setup):
     grad_piece = c * c * F
     weighted = f * f * scal_piece - 2 * (p - 1) * f * lap_piece - p * (p - 1) * grad_piece
     return exact_divide(weighted, 1 + x * z)
+
+
+def taylor_endpoint_solve(side, n, m):
+    """The profile at c = n/m from its Taylor recursion, in integers: the
+    oracle of profile._endpoint_solve, whose rows it matches up to a positive
+    factor.
+
+    side is _right_side(p, a, s, x); n and m are ints for one ray, or n = c
+    as an IntPoly and m = 1 for every ray of a setup.  The z^k coefficient of
+    the ODE, for F = sum F_k z^k, is
+        (k+2)(k+1) F_(k+2) = r_k - c^2 (k-p)(k-p+1) F_k - 2c (k+1)(k+1-p) F_(k+1)
+    with r_k that of the right side.  With L from _right_side,
+    H_k = m^k k! L F_k obeys, over Z,
+        H_(k+2) = k! m^(k+2) L r_k(n/m) - (k-p)(k-p+1) n^2 H_k - 2(k+1-p) n H_(k+1),
+    so each H_k is an integer linear form in (1, H_0, H_1, A1, A2).  As
+    deg r <= 3 < p-1, the z^(p-1) and z^p equations read 0 = 0: deg F <= p.
+
+    The endpoint conditions times p! m^p L are four integer equations
+    W (1, H_0, H_1, A1, A2) = 0, with kernel v_i = (-1)^i det(W less column i).
+    The five determinants share, by Laplace, the ten 2x2 minors of the value
+    rows and the ten of the slope rows.  v_0 != 0 for |c| < 1 (module
+    docstring).  With G_k = sum_i v_i H_(k,i), so F_k = G_k/(v_0 m^k k! L),
+    the rows (D, P1, P2, P_k) = -(L w_0 v_0, L w_0 v_3, L w_0 v_4, w_k G_k),
+    w_k = (p!/k!) m^(p-k), are one multiple of (1, A1, A2, F_k).
+    """
+    L, Lx, right = side
+    p = len(right) - 1
+    n2, m2 = n * n, m * m
+    H = [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
+    for k, (t0, t1, t2, b1, b2) in enumerate(right[:p - 1]):
+        # k! m^(k+2) L r_k(n/m) in the basis (1, H_0, H_1, A1, A2)
+        f = factorial(k) * m ** k
+        r = (f * (t0 * m2 + t1 * n * m + t2 * n2), 0, 0, -f * m2 * b1, -f * m2 * b2)
+        u, w = (k - p) * (k - p + 1) * n2, 2 * (k + 1 - p) * n
+        H.append(tuple(rk - u * hk - w * hk1 for rk, hk, hk1 in zip(r, H[k], H[k + 1])))
+    # p! m^p L times F(1), F(-1), F'(1) and F'(-1), less their targets
+    w = [factorial(p) // factorial(k) * m ** (p - k) for k in range(p + 1)]
+    ends = [[sign ** k * wk for k, wk in enumerate(w)] for sign in (1, -1)]
+    ends += [[sign * k * e for k, e in enumerate(end)] for sign, end in zip((1, -1), ends)]
+    rows = [[sum(e * h[i] for e, h in zip(end, H)) for i in range(5)] for end in ends]
+    rows[2][0] += 2 * (L + Lx) * w[0]
+    rows[3][0] -= 2 * (L - Lx) * w[0]
+    mv, ms = ({(i, j): t[i] * b[j] - t[j] * b[i] for i, j in combinations(range(5), 2)}
+              for t, b in (rows[:2], rows[2:]))
+    v = []
+    for i in range(5):
+        k1, k2, k3, k4 = (j for j in range(5) if j != i)
+        det = (mv[k1, k2] * ms[k3, k4] - mv[k1, k3] * ms[k2, k4]
+               + mv[k1, k4] * ms[k2, k3] + mv[k2, k3] * ms[k1, k4]
+               - mv[k2, k4] * ms[k1, k3] + mv[k3, k4] * ms[k1, k2])
+        v.append(-det if i % 2 else det)
+    return ([-L * w[0] * v[i] for i in (0, 3, 4)]
+            + [-wk * sum(hi * vi for hi, vi in zip(h, v)) for wk, h in zip(w, H)])

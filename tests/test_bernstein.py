@@ -7,11 +7,9 @@ a polynomial made nonpositive on purpose, and on the benchmark's scan pool.
 """
 
 import random
-import runpy
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -21,11 +19,11 @@ from sasakijoin.conescan import _cone_rows, _is_extremal_at
 from sasakijoin.exactmath import certify_positive
 from sasakijoin.exactmath import bernstein
 from sasakijoin.exactmath.bernstein import _box_coefficients
-from support import random_setup, random_x, setup_moat, setup_twin_pair
+from support import (random_setup, random_x, scan_pool, setup_moat, setup_of,
+                     setup_twin_pair)
 
 F = Fraction
 lam, mu = sp.symbols("lam mu")
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 # the one setup of the scan pool with an extremality boundary
 BOUNDARY = ["--d", "1", "--a", "43/9", "--g2", "4", "--k", "1", "--x", "8/9"]
 
@@ -37,12 +35,6 @@ def _q(value):
 def _random_side(rng):
     lo = F(rng.randint(-30, 30), rng.randint(1, 12))
     return lo, lo + F(rng.randint(1, 30), rng.randint(1, 12))
-
-
-def _setup_of(argv):
-    flags = dict(zip(argv[1::2], argv[2::2]))
-    return make_setup(d=int(flags["--d"]), a=F(flags["--a"]), genus_g2=int(flags["--g2"]),
-                      degree_k=int(flags["--k"]), x=F(flags["--x"]))
 
 
 def _certified(setup):
@@ -130,9 +122,9 @@ def test_a_flipped_coefficient_fails_the_certificate():
 
 
 def test_the_scan_pool_is_certified_but_for_its_boundary_setup():
-    items = runpy.run_path(str(WORKLOADS))["candidates"]("scan")
-    assert len(items) == 48
-    boxes = {tuple(argv): _certified(_setup_of(argv)) for (argv,) in items}
+    pool = scan_pool()
+    assert len(pool) == 48
+    boxes = {tuple(argv): _certified(setup_of(argv)) for argv in pool}
     failed = [argv for argv, count in boxes.items() if count is None]
     assert failed == [("scan", *BOUNDARY)]
     assert Counter(boxes.values()) == {1: 36, 2: 6, 4: 5, None: 1}

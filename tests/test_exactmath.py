@@ -93,6 +93,17 @@ def test_exact_strings_round_trip_under_the_digit_limit(limit):
 
 # -- univariate polynomial ring ----------------------------------------------
 
+def test_unipoly_keeps_given_fractions():
+    given = [F(1, 3), F(-2, 5), F(7)]
+    assert all(kept is coeff for kept, coeff in zip(UniPoly(given).coeffs, given))
+    # ints and strs still convert, and equality and hash do not change
+    mixed = UniPoly([F(1), "2/3", -5, 0])
+    assert mixed.coeffs == (1, F(2, 3), -5) and all(type(v) is F for v in mixed.coeffs)
+    same = UniPoly([1, F(2, 3), F(-5)])
+    assert mixed == same and hash(mixed) == hash(same)
+    assert UniPoly([F(0)]) == UniPoly() == 0
+
+
 @given(polys, polys, rationals)
 def test_unipoly_evaluation_is_a_homomorphism(p, q, t):
     assert (p + q)(t) == p(t) + q(t)
@@ -152,6 +163,18 @@ def test_intpoly_division_and_evaluation_match_unipoly(a, b, t):
         assert pa.homogeneous(t) == ua(t) * t.denominator ** pa.degree
         assert pa.primitive().coeffs == IntPoly.from_unipoly(ua).coeffs
         assert pa.primitive().coeffs[-1] * pa.coeffs[-1] > 0
+
+
+@pytest.mark.parametrize("bits", [2, 8, 61, 200])
+def test_intpoly_unpack_inverts_pack_on_small_coefficients(bits):
+    top = 2 ** (bits - 1) - 1
+    for coeffs in ((top, -top, 0, 1, -top), (-top, 0, top), (0, 0, -1), (top,), ()):
+        poly = IntPoly(coeffs)
+        value = poly.pack(bits)
+        assert value == poly.homogeneous(2 ** bits, 1)
+        assert IntPoly.unpack(value, bits).coeffs == poly.coeffs
+    # a coefficient of 2^(bits-1) reads back as another polynomial of the value
+    assert IntPoly.unpack(IntPoly((top + 1,)).pack(bits), bits).coeffs == (-top - 1, 1)
 
 
 def test_intpoly_exact_division_is_over_the_integers():

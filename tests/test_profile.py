@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,8 @@ from sasakijoin import (
 from sasakijoin.errors import DomainError, InternalInconsistency
 from sasakijoin.exactmath import IntPoly, solve_exact
 from sasakijoin.cscs import _cleared_parts
-from sasakijoin.profile import _certify, _right_side
+from sasakijoin import profile as profile_module
+from sasakijoin.profile import _certify, _endpoint_solve, _Norm, _right_side
 from support import (
     ONE_MINUS_Z2,
     alpha,
@@ -40,10 +41,13 @@ from support import (
     random_setup,
     random_x,
     reconstruct_weighted_scal,
+    scan_pool,
     setup_no_csc,
+    setup_of,
     setup_positive_example,
     setup_resurrection,
     setup_twin_pair,
+    taylor_endpoint_solve,
 )
 
 F = Fraction
@@ -352,6 +356,94 @@ def test_certificates_reject_doubled_slopes():
         prof = compute_profile(setup, c)
         with pytest.raises(InternalInconsistency, match="endpoint"):
             _certify_ray(doubled, c, 2 * prof.F, 2 * prof.A1, 2 * prof.A2)
+
+
+# -- the binomial-basis solve and the one-point table --------------------------
+
+def _oracle_setups():
+    # the benchmark's scan pool, random setups with p = 5..14, and d = 20
+    rng = random.Random(83)
+    return ([setup_of(argv) for argv in scan_pool()]
+            + [random_setup(rng, d=p - 4) for p in range(5, 15)]
+            + [make_setup(d=20, a=F(7, 3), genus_g2=2, degree_k=3, x=F(2, 7))])
+
+
+def _side(setup):
+    return _right_side(setup.p, setup.a, setup.s, setup.x)
+
+
+def _primitive(rows):
+    content = gcd(*rows)
+    return [row // content for row in rows]
+
+
+def test_binomial_solve_matches_the_taylor_oracle_per_ray():
+    rng = random.Random(89)
+    for setup in _oracle_setups():
+        side = _side(setup)
+        for c in (F(0), F(-3, 7), 1 - F(1, 2 ** 30), random_c(rng)):
+            n, m = c.numerator, c.denominator
+            # the same primitive rows, signs included
+            assert (_primitive(_endpoint_solve(side, n, m))
+                    == _primitive(taylor_endpoint_solve(side, n, m)))
+
+
+def test_table_rows_match_the_taylor_oracle():
+    for setup in _oracle_setups():
+        oracle = taylor_endpoint_solve(_side(setup), IntPoly((0, 1)), 1)
+        content = gcd(*(v for row in oracle for v in row.coeffs))
+        assert ([row.coeffs for row in profile_table(setup)._rows]
+                == [tuple(v // content for v in row.coeffs) for row in oracle])
+
+
+def test_the_majorant_bounds_every_raw_coefficient():
+    for setup in _oracle_setups():
+        side = _side(setup)
+        raw = _endpoint_solve(side, IntPoly((0, 1)), 1)  # the rows over Z[c]
+        norms = _endpoint_solve(side, _Norm(1), 1)
+        assert all(sum(map(abs, row.coeffs)) <= abs(norm) for row, norm in zip(raw, norms))
+        # so the rows at c = 2^bits read back as the rows over Z[c]
+        bits = max(map(abs, norms)).bit_length() + 1
+        values = _endpoint_solve(side, 2 ** bits, 1)
+        assert ([IntPoly.unpack(value, bits).coeffs for value in values]
+                == [row.coeffs for row in raw])
+
+
+def test_table_certificate_rejects_a_change_that_vanishes_at_a_power_of_two():
+    # (c - 2^8) c^j is 0 at c = 2^8, so the changed rows pass the identities
+    # there; the certificate's point lies past the majorant of the changed rows
+    setup = random_setup(random.Random(61), d=2)
+    side, rows = _side(setup), profile_table(setup)._rows
+    for k in range(setup.p + 1):
+        for j in (0, 3):
+            tampered = list(rows)
+            tampered[3 + k] = rows[3 + k] + IntPoly([0] * j + [-2 ** 8, 1])
+            _certify(side, 2 ** 8, 1, [row.pack(8) for row in tampered], "at 2^8")
+            with pytest.raises(InternalInconsistency):
+                ProfileTable(setup, tampered)
+
+
+def test_a_table_build_makes_no_polynomial_product(monkeypatch):
+    # the table is solved and certified at integer points: no IntPoly
+    # product or scaling, and one majorant run and one solve at c = 2^B
+    calls = {"mul": 0, "solve": 0}
+    mul, solve = IntPoly.__mul__, profile_module._endpoint_solve
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(IntPoly, "__rmul__", counting_mul)
+    monkeypatch.setattr(profile_module, "_endpoint_solve", counting_solve)
+    for setup in (setup_positive_example(), setup_resurrection()):
+        calls.update(mul=0, solve=0)
+        profile_table(setup)
+        assert calls == {"mul": 0, "solve": 2}
 
 
 def test_table_rejects_out_of_range_rotation():
