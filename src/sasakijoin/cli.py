@@ -80,8 +80,6 @@ def build_parser():
     p_twins = sub.add_parser("twins", help="find rays sharing one profile")
     _add_setup_flags(p_twins)
     p_twins.add_argument("--c", type=_rational, required=True)
-    p_twins.add_argument("--search-width", type=_rational,
-                         default=Fraction(1, 10 ** 6), dest="search_width")
     p_twins.add_argument("--out")
 
     p_toric = sub.add_parser("toric", help="toric csc candidate check")
@@ -152,7 +150,7 @@ def _run_csc_roots(args):
 
 def _run_twins(args):
     setup = _setup_from_args(args)
-    report = find_profile_twins(setup, args.c, args.search_width)
+    report = find_profile_twins(setup, args.c)
     _emit(render.dump_json(render.twins_document(setup, report)), args.out)
     return 0
 

@@ -1,26 +1,25 @@
 """Classification of the c-parametrized subcone: extremal regions and moats.
 
-A scan builds the setup's certified profile table once (profile_table) and
-reads every ray it classifies off the table in integer arithmetic, with no
-per-ray solve: the grid points, the bisection midpoints and the ends of the
-cscS root brackets.
+A ray is extremal iff H = P/(1-z^2) > 0 on (-1, 1), for the integer rows
+(D, P1, P2, P_0..P_p) of its profile: profile gives them with D > 0, so H is
+F/(1-z^2) times a positive factor.  One exact recursion divides by 1-z^2
+(_over_one_minus_z2), on one ray's int rows (_extremal_rows, for
+classify_ray) or once on the table's rows over Z[c] (_cone_rows).
 
-It first tries to prove the whole cone extremal at once.  On the table,
-H(z, c) = sign(D) P(z, c)/(1-z^2) is an integer polynomial (_cone_rows), and
-at every ray |c| < 1 it is F/(1-z^2) times |D(c)| > 0.  When the Bernstein
-coefficients of H prove H > 0 on the closed square [-1, 1]^2
+A scan builds the setup's certified profile table and H on it once.  When
+the Bernstein coefficients of H prove H > 0 on the closed square [-1, 1]^2
 (exactmath.certify_positive, in at most 16 boxes), every ray is extremal:
 each grid ray's verdict, the one extremal region with no moat, and the label
 genuine of every cscS root follow with no Sturm test, and connectivity is
 "proven".
 
-Otherwise extremality is decided ray by ray, exactly, by a Sturm count over
-the integers on sign(D) P/(1-z^2), read off the ray's integer rows
-(D, P1, P2, P_0..P_p) (_extremal_rows).  classify_ray reads the same test
-off the rows compute_profile keeps in its profile, so no verdict clears F
-back to integers.  Each extremal/non-extremal transition between grid points
-is bisected down to a bracket of width <= boundary_width, and a cscS root is
-labelled by the verdict at its exact value, or at both ends of its bracket.
+Otherwise each verdict is a Sturm count over the integers on H at the ray,
+read off by the table's one row evaluation (ProfileTable.rows_at), with no
+per-ray solve or division: at the grid points, the bisection midpoints and
+the ends of the cscS root brackets.  Each extremal/non-extremal transition
+between grid points is bisected down to a bracket of width <=
+boundary_width, and a cscS root is labelled by the verdict at its exact
+value, or at both ends of its bracket.
 Regions are reported with bracket endpoints, since the exact boundary between
 certified sample points is not decided, and a moat between two samples would
 go unseen: connectivity is "sampled", not proven.
@@ -89,30 +88,37 @@ class ConeScanReport:
     whole_cone_boxes: Optional[int]
 
 
-_ONE_MINUS_Z2 = IntPoly((1, 0, -1))
+def _over_one_minus_z2(P):
+    """H_0..H_(p-2) with P = (1-z^2) H, for P_0..P_p ints or IntPolys in c:
+    H_k = P_k + H_(k-2), exact iff H_(p-1) = H_p = 0, as P(+-1) = 0 on
+    certified rows; InexactDivision otherwise."""
+    H = []
+    for k, Pk in enumerate(P):
+        H.append(Pk + H[k - 2] if k >= 2 else Pk)
+    if H[-2] or H[-1]:
+        raise InexactDivision("the profile's P is not divisible by 1-z^2")
+    return H[:-2]
+
+
+def _positive(H):
+    """True iff the int coefficients H give a polynomial > 0 on (-1, 1)."""
+    return is_positive_on_open(IntPoly(H).primitive(), -1, 1)
 
 
 def _extremal_rows(rows):
-    """True iff the profile of the integer rows (D, P1, P2, P_0..P_p) of one
-    ray is positive on (-1, 1), i.e. F/(1-z^2) is.  sign(D) P is F times a
-    positive factor, and its division by 1-z^2 is exact over Z
-    (InexactDivision otherwise), so the Sturm test runs on an integer
-    polynomial and makes no Fraction."""
-    D, _, _, *P = rows
-    H = (IntPoly(P) if D > 0 else -IntPoly(P)).primitive().exact_div(_ONE_MINUS_Z2)
-    return is_positive_on_open(H, Fraction(-1), Fraction(1))
+    """The extremal verdict of one ray's integer rows (D, P1, P2, P_0..P_p)."""
+    return _positive(_over_one_minus_z2(rows[3:]))
 
 
-def _ray(prof, proven=False):
-    """The ray of a profile with its two verdicts, extremal read off the
-    profile's rows, or without a test when the whole cone is proven."""
-    return RayClassification(c=prof.c, extremal=proven or _extremal_rows(prof.rows),
-                             cscS=cscS_check(prof), F=prof.F)
+def _ray(prof, extremal):
+    """The ray of a profile with its extremal verdict and its cscS verdict."""
+    return RayClassification(c=prof.c, extremal=extremal, cscS=cscS_check(prof), F=prof.F)
 
 
 def classify_ray(setup, c):
     """Profile plus the two verdicts for a single ray: extremal and cscS."""
-    return _ray(compute_profile(setup, c))
+    prof = compute_profile(setup, c)
+    return _ray(prof, _extremal_rows(prof.rows))
 
 
 def slope(c):
@@ -123,34 +129,16 @@ def slope(c):
     return (1 - c) / (1 + c)
 
 
-def _is_extremal_at(table, c):
-    """The extremal verdict at the ray c, read off the table's integer rows."""
-    return _extremal_rows(table._rows_at(c))
-
-
 def _cone_rows(table):
-    """H = sign(D) P/(1-z^2) as integer rows, one per power of z, each its
-    coefficients in c.
-
-    D has no root in (-1, 1) (profile module docstring), so sign(D(0)) is
-    its sign at every ray.  P = (1-z^2) Q gives Q_k = P_k + Q_(k-2), and the
-    division is exact when the last two remainders Q_(p-1), Q_p are zero, as
-    P(+-1, c) = 0 on a certified table; InexactDivision otherwise.
-    """
-    D, _, _, *P = table._rows
-    Q = []
-    for k, Pk in enumerate(P):
-        Q.append(Pk + Q[k - 2] if k >= 2 else Pk)
-    if Q[-2] or Q[-1]:
-        raise InexactDivision("the table's P is not divisible by 1-z^2 over Z[c]")
-    sign = 1 if D.coeffs[0] > 0 else -1
-    return [[sign * v for v in q.coeffs] for q in Q[:-2]]
+    """H = P(z, c)/(1-z^2) on the table, as int rows, one per power of z,
+    each its coefficients in c."""
+    return [h.coeffs for h in _over_one_minus_z2(table.rows[3:])]
 
 
-def _bisect_transition(table, lo, hi, lo_extremal, boundary_width):
+def _bisect_transition(extremal_at, lo, hi, lo_extremal, boundary_width):
     while hi - lo > boundary_width:
         mid = (lo + hi) / 2
-        if _is_extremal_at(table, mid) == lo_extremal:
+        if extremal_at(mid) == lo_extremal:
             lo = mid
         else:
             hi = mid
@@ -166,21 +154,22 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
         raise DomainError("boundary_width must be positive")
 
     table = profile_table(setup)
-    boxes = certify_positive(_cone_rows(table))
+    H = _cone_rows(table)
+    boxes = certify_positive(H)
     proven = boxes is not None
 
     def extremal_at(c):
-        return proven or _is_extremal_at(table, c)
+        return proven or _positive(table.rows_at(c, H))
 
     grid = [Fraction(-1) + Fraction(2 * i, grid_n + 1) for i in range(1, grid_n + 1)]
-    rays = [_ray(table.profile_at(c), proven) for c in grid]
+    rays = [_ray(table.profile_at(c), extremal_at(c)) for c in grid]
 
     # boundary brackets between runs of constant extremality, plus the edges
     borders = [(Fraction(-1), Fraction(-1))]
     segment_flags = [rays[0].extremal]
     for prev, cur in zip(rays, rays[1:]):
         if cur.extremal != prev.extremal:
-            borders.append(_bisect_transition(table, prev.c, cur.c,
+            borders.append(_bisect_transition(extremal_at, prev.c, cur.c,
                                               prev.extremal, boundary_width))
             segment_flags.append(cur.extremal)
     borders.append((Fraction(1), Fraction(1)))

@@ -23,11 +23,13 @@ The z^k coefficient of the ODE is written once, over Z: _right_side holds
 the right side and _ode_map the left.  A profile is one set of integer rows
 (D, P1, P2, P_0..P_p), F = P/D and (A1, A2) = (P1, P2)/D, which
 _endpoint_solve derives in the binomial basis F_k = C(p, k) E_k, where the
-ODE is a second difference in E.  compute_profile runs it at one ray
-c = n/m.  profile_table runs it at the one integer point c = 2^B, B proven
-large enough by the same solve run on 1-norm majorants (_Norm), and reads
-each row's value back as its coefficients over Z[c] (F(z; c) =
-P(z, c)/D(c) for every ray of a setup), with no polynomial product.
+ODE is a second difference in E.  Every set of rows this module gives out
+has D > 0 on (-1, 1) (_content), so no other module reads the sign of D.
+compute_profile runs the solve at one ray c = n/m.  profile_table runs it
+at the one integer point c = 2^B, B proven large enough by the same solve
+run on 1-norm majorants (_Norm), and reads each row's value back as its
+coefficients over Z[c] (F(z; c) = P(z, c)/D(c) for every ray of a setup),
+with no polynomial product.
 _certify checks the rows exactly through the same map (the table at one
 integer point, ProfileTable), also for the p = 4 closed form of
 twins.cp1_profile, and _read divides them by D and keeps them in the
@@ -234,6 +236,13 @@ def _endpoint_solve(side, n, m):
     return [-L * Q * w[0] * v[i] for i in (0, 3, 4)] + [-wk * gk for wk, gk in zip(w, G)]
 
 
+def _content(D0, values):
+    """The gcd of values signed like D0, D at one ray: D, like the endpoint
+    determinant, has no root in (-1, 1), so the rows over it have D > 0."""
+    g = gcd(*values)
+    return g if D0 > 0 else -g
+
+
 def _read(c, p, rows):
     """The ExtremalProfile at c of integer rows (D, P1, P2, P_0..P_p)."""
     D, P1, P2, *P = rows
@@ -244,7 +253,7 @@ def _read(c, p, rows):
 
 def compute_profile(setup, c):
     """The profile of the ray at parameter c: the rows of _endpoint_solve,
-    divided by their content, certified by _certify and read off by _read."""
+    over _content, certified by _certify and read off by _read."""
     if not isinstance(setup, ProductSetup):
         raise DomainError("compute_profile needs a ProductSetup")
     c = Fraction(c)
@@ -252,7 +261,7 @@ def compute_profile(setup, c):
         raise DomainError(f"ray parameter must satisfy |c| < 1, got {c}")
     side = _right_side(setup.p, setup.a, setup.s, setup.x)
     rows = _endpoint_solve(side, c.numerator, c.denominator)
-    content = gcd(*rows)
+    content = _content(rows[0], rows)
     rows = [row // content for row in rows]
     _certify(side, c.numerator, c.denominator, rows, f"profile at c={c}")
     return _read(c, setup.p, rows)
@@ -289,49 +298,52 @@ class ProfileTable:
     identities hold.
 
     These identities make the table exact at every |c| < 1: profile_table's
-    D is a positive multiple of minus the endpoint determinant, nonzero there
+    D is a nonzero multiple of the endpoint determinant, so D(c) != 0 there
     (module docstring), and divided by D(c) they are the ODE and the endpoint
     conditions for F = P(., c)/D(c) with (A1, A2) = (P1, P2)/D, which fix F
     uniquely.  D, P1, P2 and P are UniPolys built on demand, the rows times
-    scale (the tests pin profile_table's D to (1-c^2)^(2p-2) times minus the
-    determinant of the Gram matrix of the module docstring).  A ray c = n/m
-    costs one dot product with n^j m^(N-j) per row, N the largest degree
-    (_rows_at), and _read.
+    scale, which carries D's sign (the tests pin profile_table's D to
+    (1-c^2)^(2p-2) times minus the determinant of the Gram matrix of the
+    module docstring).  A ray c = n/m costs one dot product with
+    n^j m^(N-j) per row, N the largest degree (rows_at), and _read.
     """
 
     def __init__(self, setup, rows, scale=1):
         self.setup = setup
-        self._rows = tuple(rows)
+        self.rows = tuple(rows)
         self._scale = Fraction(scale)
-        self._degree = max(row.degree for row in self._rows)
+        self._degree = max(row.degree for row in self.rows)
         side = _right_side(setup.p, setup.a, setup.s, setup.x)
-        norms = [_Norm(sum(map(abs, row.coeffs))) for row in self._rows]
+        norms = [_Norm(sum(map(abs, row.coeffs))) for row in self.rows]
         bound = max(abs(value) for _, value in _defects(side, _Norm(1), 1, norms))
         bits = bound.bit_length() + 1
-        _certify(side, 1 << bits, 1, [row.pack(bits) for row in self._rows],
+        _certify(side, 1 << bits, 1, [row.pack(bits) for row in self.rows],
                  f"profile table for p={setup.p}")
 
     def _field(self, i):
-        return UniPoly(self._scale * v for v in self._rows[i].coeffs)
+        return UniPoly(self._scale * v for v in self.rows[i].coeffs)
 
     D = property(lambda self: self._field(0))
     P1 = property(lambda self: self._field(1))
     P2 = property(lambda self: self._field(2))
-    P = property(lambda self: tuple(map(self._field, range(3, len(self._rows)))))
+    P = property(lambda self: tuple(map(self._field, range(3, len(self.rows)))))
 
-    def _rows_at(self, c):
-        """The rows (D, P1, P2, P_0..P_p) at the ray c = n/m, a Fraction in
-        lowest terms, times m^N: ints with F = P/D and (A1, A2) = (P1, P2)/D."""
+    def rows_at(self, c, rows=None):
+        """rows, int coefficient sequences in c of degree <= N (by default
+        the table's (D, P1, P2, P_0..P_p)), at the ray c = n/m in lowest
+        terms, times m^N: ints with F = P/D and (A1, A2) = (P1, P2)/D."""
         if abs(c) >= 1:
             raise DomainError(f"ray parameter must satisfy |c| < 1, got {c}")
         n, m, N = c.numerator, c.denominator, self._degree
         weights = [n ** j * m ** (N - j) for j in range(N + 1)]
-        return [sum(v * w for v, w in zip(row.coeffs, weights)) for row in self._rows]
+        if rows is None:
+            rows = [row.coeffs for row in self.rows]
+        return [sum(v * w for v, w in zip(row, weights)) for row in rows]
 
     def profile_at(self, c):
         """The profile of the ray at parameter c, read off the table."""
         c = Fraction(c)
-        return _read(c, self.setup.p, self._rows_at(c))
+        return _read(c, self.setup.p, self.rows_at(c))
 
 
 def profile_table(setup):
@@ -346,7 +358,7 @@ def profile_table(setup):
     (F_0, F_1, A1, A2) is -D, the Cramer numerators of A1 and A2 are -P1 and
     -P2, and P_k = D F_k.  The solve's unknowns are (H_0, H_1) =
     L Q (F_0, F_1/p) and its conditions are times L Q, so its rows are D,
-    P1, P2 and P times p (L Q)^3; divided by their content, the table's
+    P1, P2 and P times p (L Q)^3; divided by _content at c = 0, the table's
     scale is content / (p (L Q)^3).  No degree bound is assumed.
     """
     if not isinstance(setup, ProductSetup):
@@ -354,7 +366,7 @@ def profile_table(setup):
     side = _right_side(setup.p, setup.a, setup.s, setup.x)
     bits = max(map(abs, _endpoint_solve(side, _Norm(1), 1))).bit_length() + 1
     rows = [IntPoly.unpack(value, bits) for value in _endpoint_solve(side, 1 << bits, 1)]
-    content = gcd(*(v for row in rows for v in row.coeffs))
+    content = _content(rows[0].coeffs[0], [v for row in rows for v in row.coeffs])
     LQ = side[0] * _clearing(setup.p)[1]
     return ProfileTable(setup, [IntPoly(v // content for v in row.coeffs) for row in rows],
                         Fraction(content, setup.p * LQ ** 3))

@@ -37,30 +37,34 @@ class TwinReport:
     unresolved: tuple = ()
 
 
+_ISOLATION_WIDTH = Fraction(1, 10 ** 6)
+
+
 def _twin_equations(setup, rows):
     """Rows in Z[c'] whose common vanishing makes the profile F = P/D of the
     integer rows (D, P1, P2, P_0..P_p) the profile at c'.
 
-    The rows are negated when D < 0, as it always is in practice, so D > 0
-    and profile._ode_map gives L D > 0 times the z^k coefficient of
-    T0 + T1 c' + T2 c'^2, the ODE defect of F at c' less its affine part, as
-    a row (e0, e1, e2).  A partner needs the rows of
-    z^p..z^3 to vanish and E0 + E1 z + E2 z^2 to be divisible by 1 + xz:
+    profile gives every set of rows with D > 0, so profile._ode_map gives
+    L D > 0 times the z^k coefficient of T0 + T1 c' + T2 c'^2, the ODE
+    defect of F at c' less its affine part, as a row (e0, e1, e2).  A partner
+    needs the rows of z^p..z^3 to vanish and E0 + E1 z + E2 z^2 to be
+    divisible by 1 + xz:
     with x = xn/xd, the last row xn^2 E0 - xn xd E1 + xd^2 E2 is xd^2 times
     its value at z = -1/x.
     """
-    D, _, _, *P = rows if rows[0] > 0 else [-v for v in rows]
+    D, _, _, *P = rows
     L, _, right = _right_side(setup.p, setup.a, setup.s, setup.x)
     E = [IntPoly(e) for e in _ode_map(L, right, D, P)]
     xn, xd = setup.x.numerator, setup.x.denominator
     return E[:2:-1] + [xn * xn * E[0] - xn * xd * E[1] + xd * xd * E[2]]
 
 
-def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
+def find_profile_twins(setup, c):
     """All c' in (-1, 1) whose profile equals the one at c, certified.
 
     The partners are the roots other than c of g, the gcd over Z of the
-    matching system of _twin_equations, isolated and identified in (-1, 1).
+    matching system of _twin_equations, isolated in (-1, 1) to the width
+    _ISOLATION_WIDTH and identified exactly; the width changes no answer.
 
     The system never vanishes identically.  If it did, with F the base
     profile and T0, T1 as in _twin_equations, the z^m coefficients of
@@ -87,9 +91,6 @@ def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
     system against the base profile, and an irrational root of g cannot
     occur.
     """
-    search_width = Fraction(search_width)
-    if search_width <= 0:
-        raise DomainError("search_width must be positive")
     base = compute_profile(setup, c)
     nontrivial = [eq for eq in _twin_equations(setup, base.rows) if eq]
     if not nontrivial:
@@ -100,7 +101,7 @@ def find_profile_twins(setup, c, search_width=Fraction(1, 10 ** 6)):
         raise InternalInconsistency(
             f"twin matching system does not vanish at its base ray c={base.c}")
     partners = []
-    for root in isolate_roots(common, -1, 1, search_width):
+    for root in isolate_roots(common, -1, 1, _ISOLATION_WIDTH):
         if root.exact_value is None:
             raise InternalInconsistency(
                 f"twin matching system has an irrational root at c={base.c}")

@@ -2,8 +2,9 @@
 
 sympy is the oracle for the coefficients: a box's scaled coefficients, put
 back on the Bernstein basis, must give the polynomial itself.  The
-certificate is checked against exact Sturm tests on dense ray grids, against
-a polynomial made nonpositive on purpose, and on the benchmark's scan pool.
+certificate is checked against the verdicts of per-ray solves (classify_ray)
+on dense ray grids, against a polynomial made nonpositive on purpose, and on
+the benchmark's scan pool.
 """
 
 import random
@@ -14,8 +15,8 @@ from math import lcm
 import pytest
 import sympy as sp
 
-from sasakijoin import make_setup, profile_table
-from sasakijoin.conescan import _cone_rows, _is_extremal_at
+from sasakijoin import classify_ray, make_setup, profile_table
+from sasakijoin.conescan import _cone_rows
 from sasakijoin.exactmath import certify_positive
 from sasakijoin.exactmath import bernstein
 from sasakijoin.exactmath.bernstein import _box_coefficients
@@ -79,7 +80,8 @@ def test_certificate_on_small_polynomials():
 
 def test_certificate_is_sound_on_dense_ray_grids():
     # whenever the certificate holds, no ray of a 1,000-ray grid is
-    # non-extremal; the moat family mixes moats with fully extremal setups
+    # non-extremal by its own solve (classify_ray); the moat family mixes
+    # moats with fully extremal setups
     rng = random.Random(1986)
     setups = [setup_moat(x) for x in (F(1, 2), F(8, 10), F(9, 10))]
     for p in range(5, 9):
@@ -94,7 +96,7 @@ def test_certificate_is_sound_on_dense_ray_grids():
         if certify_positive(_cone_rows(table)) is None:
             continue
         certified += 1
-        assert all(_is_extremal_at(table, c) for c in grid)
+        assert all(classify_ray(setup, c).extremal for c in grid)
     assert certified >= 8
     # the separated moat is not extremal at c = 0, so it cannot be certified
     assert _certified(setup_moat(F(9, 10))) is None

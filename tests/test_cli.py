@@ -120,7 +120,7 @@ def test_join_command(capsys):
     ("scan_twin_pair_boundary_width_3",
      ["scan", *TWIN_PAIR_FLAGS, "--grid-n", "8", "--boundary-width", "3"]),
     ("twins_twin_pair_search_width_5",
-     ["twins", *TWIN_PAIR_FLAGS, "--c", "1/2", "--search-width", "5"]),
+     ["twins", *TWIN_PAIR_FLAGS, "--c", "1/2"]),
     # full scans at the default width, pinning every ray's profile (p = 6, 7)
     ("scan_moat_grid_16", ["scan", *MOAT_FLAGS, "--grid-n", "16"]),
     ("scan_three_roots_p7_grid_16",

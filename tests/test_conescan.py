@@ -8,6 +8,7 @@ import pytest
 import sympy as sp
 
 from sasakijoin import (
+    ProfileTable,
     classify_ray,
     make_setup,
     profile_table,
@@ -187,6 +188,66 @@ def test_scan_surfaces_contested_roots():
     assert entry.root.lo < report.moats[0].left[1]
     settled = [e for e in report.csc_rays if not e.contested]
     assert all(e.genuine is not None for e in settled)
+
+
+def test_scan_verdicts_match_per_ray_solves():
+    # every verdict the scan reads off H on its table equals the one of an
+    # independent solve at that ray: grid rays, both ends of every boundary
+    # bracket and the root ends (or exact roots) of every cscS label.  No
+    # setup here is proven extremal, so each verdict is a Sturm test on H:
+    # the moat (grid 16 and 33), the p = 7 three-roots setup and setup_no_csc
+    p7 = make_setup(d=3, a=45, genus_g2=11, degree_k=3, x=F(7, 9))
+    brackets = 0
+    for setup, grid_n in ((setup_moat(F(9, 10)), 16), (setup_moat(F(9, 10)), 33),
+                          (p7, 16), (setup_no_csc(), 8)):
+        report = scan(setup, grid_n=grid_n)
+        assert report.connectivity == "sampled"
+
+        def extremal(c):
+            return classify_ray(setup, c).extremal
+
+        assert all(ray.extremal == extremal(ray.c) for ray in report.rays)
+        regions = sorted([(r, True) for r in report.extremal_intervals]
+                         + [(r, False) for r in report.moats],
+                         key=lambda item: item[0].left)
+        for (left, flag), (right, _) in zip(regions, regions[1:]):
+            lo, hi = left.right
+            assert (lo, hi) == right.left
+            assert (extremal(lo), extremal(hi)) == (flag, not flag)
+            brackets += 1
+        for entry in report.csc_rays:
+            root = entry.root
+            if root.exact_value is not None:
+                assert entry.genuine == extremal(root.exact_value)
+            else:
+                ends = (extremal(root.lo), extremal(root.hi))
+                assert entry.contested == (ends[0] != ends[1])
+                assert entry.genuine == (None if entry.contested else ends[0])
+    # two boundaries in each moat scan and in the p = 7 scan
+    assert brackets == 6
+
+
+def test_a_sampled_scan_builds_H_once(monkeypatch):
+    # one division by 1-z^2 per scan, and the table's own rows are evaluated
+    # once per grid ray (its profile); every other ray evaluates only H
+    calls = {"divide": 0, "table rows": 0}
+    divide, rows_at = conescan._over_one_minus_z2, ProfileTable.rows_at
+
+    def counting_divide(P):
+        calls["divide"] += 1
+        return divide(P)
+
+    def counting_rows_at(self, c, rows=None):
+        calls["table rows"] += rows is None
+        return rows_at(self, c, rows)
+
+    monkeypatch.setattr(conescan, "_over_one_minus_z2", counting_divide)
+    monkeypatch.setattr(ProfileTable, "rows_at", counting_rows_at)
+    for grid_n in (16, 33):
+        calls.update({"divide": 0, "table rows": 0})
+        report = scan(setup_moat(F(9, 10)), grid_n=grid_n)
+        assert report.connectivity == "sampled" and len(report.moats) == 1
+        assert calls == {"divide": 1, "table rows": grid_n}
 
 
 # -- the whole-cone certificate ------------------------------------------------------

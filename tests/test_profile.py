@@ -288,7 +288,7 @@ def test_table_affine_coefficients_match_solve_A():
 
 def test_table_certificate_rejects_a_changed_coefficient():
     setup = random_setup(random.Random(61), d=2)
-    rows = profile_table(setup)._rows
+    rows = profile_table(setup).rows
     # the untouched rows certify again
     ProfileTable(setup, rows)
     for k in range(setup.p + 1):
@@ -304,7 +304,7 @@ def test_table_certificate_rejects_a_kernel_shift():
     # adding D (cz+1)^(p-1), a kernel element of the ODE operator, keeps the
     # ODE identities and breaks only the endpoint conditions
     setup = random_setup(random.Random(71), d=2)
-    D, P1, P2, *P = profile_table(setup)._rows
+    D, P1, P2, *P = profile_table(setup).rows
     p = setup.p
     shifted = [Pk + comb(p - 1, k) * IntPoly([0] * k + [1]) * D for k, Pk in enumerate(P)]
     with pytest.raises(InternalInconsistency, match="endpoint"):
@@ -349,7 +349,7 @@ def test_certificates_reject_doubled_slopes():
     setup = make_setup(d=2, a=F(7, 3), genus_g2=2, degree_k=3, x=F(2, 7))
     doubled = make_setup(d=2, a=F(14, 3), genus_g2=3, degree_k=3, x=F(2, 7))
     assert doubled.s == 2 * setup.s
-    D, *rest = profile_table(setup)._rows
+    D, *rest = profile_table(setup).rows
     with pytest.raises(InternalInconsistency, match="endpoint"):
         ProfileTable(doubled, [D, *(2 * row for row in rest)])
     for c in (F(-3, 7), F(11, 13)):
@@ -389,10 +389,13 @@ def test_binomial_solve_matches_the_taylor_oracle_per_ray():
 
 
 def test_table_rows_match_the_taylor_oracle():
+    # the same primitive rows up to the sign that makes D > 0
     for setup in _oracle_setups():
         oracle = taylor_endpoint_solve(_side(setup), IntPoly((0, 1)), 1)
         content = gcd(*(v for row in oracle for v in row.coeffs))
-        assert ([row.coeffs for row in profile_table(setup)._rows]
+        if oracle[0].coeffs[0] < 0:
+            content = -content
+        assert ([row.coeffs for row in profile_table(setup).rows]
                 == [tuple(v // content for v in row.coeffs) for row in oracle])
 
 
@@ -413,7 +416,7 @@ def test_table_certificate_rejects_a_change_that_vanishes_at_a_power_of_two():
     # (c - 2^8) c^j is 0 at c = 2^8, so the changed rows pass the identities
     # there; the certificate's point lies past the majorant of the changed rows
     setup = random_setup(random.Random(61), d=2)
-    side, rows = _side(setup), profile_table(setup)._rows
+    side, rows = _side(setup), profile_table(setup).rows
     for k in range(setup.p + 1):
         for j in (0, 3):
             tampered = list(rows)
@@ -421,6 +424,38 @@ def test_table_certificate_rejects_a_change_that_vanishes_at_a_power_of_two():
             _certify(side, 2 ** 8, 1, [row.pack(8) for row in tampered], "at 2^8")
             with pytest.raises(InternalInconsistency):
                 ProfileTable(setup, tampered)
+
+
+def test_every_set_of_rows_has_a_positive_D():
+    # profile divides every set of rows by a content signed like D, so D > 0
+    # on (-1, 1): at one ray, and as a polynomial in c on the table
+    rng = random.Random(97)
+    pool = scan_pool()
+    assert len(pool) == 48
+    for argv in pool:
+        setup = setup_of(argv)
+        table = profile_table(setup)
+        assert is_positive_on_open(table.rows[0], -1, 1)
+        for c in (F(0), F(-3, 7), 1 - F(1, 2 ** 30), random_c(rng)):
+            assert compute_profile(setup, c).rows[0] > 0
+            assert table.profile_at(c).rows[0] > 0
+
+
+def test_profile_is_affine_in_a_and_s():
+    # F22: for fixed (d, x, c), F(a, s) = F(0, 0) + a (F(1, 0) - F(0, 0))
+    # + (s/2) (F(0, 2) - F(0, 0)); s = 2(1-g2)/k, so g2 = k = 1 gives s = 0
+    # and g2 = 0, k = 1 gives s = 2
+    rng = random.Random(22)
+    for d, x in ((1, F(1, 2)), (2, F(5, 9)), (4, F(3, 8))):
+        for _ in range(5):
+            setup = make_setup(d=d, a=random_rational(rng), genus_g2=rng.randint(0, 6),
+                               degree_k=rng.randint(1, 6), x=x)
+            c = random_c(rng)
+            f00, f10, f02 = (compute_profile(make_setup(d=d, a=a, genus_g2=g2, degree_k=1,
+                                                        x=x), c).F
+                             for a, g2 in ((0, 1), (1, 1), (0, 0)))
+            assert (compute_profile(setup, c).F
+                    == f00 + setup.a * (f10 - f00) + setup.s / 2 * (f02 - f00))
 
 
 def test_a_table_build_makes_no_polynomial_product(monkeypatch):

@@ -188,8 +188,6 @@ def test_find_profile_twins_validation():
     setup = setup_twin_pair()
     with pytest.raises(DomainError):
         find_profile_twins(setup, F(3, 2))
-    with pytest.raises(DomainError):
-        find_profile_twins(setup, F(1, 2), search_width=0)
 
 
 # -- weight-four closed forms ------------------------------------------------------
