@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import render, reproduce
-from .conescan import _extremal_rows, scan
+from .conescan import GRID_N_MAX, _extremal_rows, scan
 from .cscs import csc_condition, csc_roots
 from .errors import DomainError
 from .exactmath import parse_rational
@@ -65,7 +65,8 @@ def build_parser():
 
     p_scan = sub.add_parser("scan", help="classify the whole c-line")
     _add_setup_flags(p_scan)
-    p_scan.add_argument("--grid-n", type=int, default=33, dest="grid_n")
+    p_scan.add_argument("--grid-n", type=int, default=33, dest="grid_n",
+                        help=f"number of grid rays, 8 to {GRID_N_MAX} (default 33)")
     p_scan.add_argument("--boundary-width", type=_rational,
                         default=Fraction(1, 2048), dest="boundary_width")
     p_scan.add_argument("--out", help="JSON output path (default: stdout)")

@@ -6,20 +6,26 @@ F/(1-z^2) times a positive factor.  One exact recursion divides by 1-z^2
 (_over_one_minus_z2), on one ray's int rows (_extremal_rows, for
 classify_ray) or once on the table's rows over Z[c] (_cone_rows).
 
-A scan builds the setup's certified profile table and H on it once.  When
-the Bernstein coefficients of H prove H > 0 on the closed square [-1, 1]^2
-(exactmath.certify_positive, in at most 16 boxes), every ray is extremal:
-each grid ray's verdict, the one extremal region with no moat, and the label
-genuine of every cscS root follow with no Sturm test, and connectivity is
-"proven".
+A scan builds the setup's certified profile table and H on it once.  Each
+grid ray c = n/m is read off one integer row evaluation of the table
+(ProfileTable.rows_at), with no per-ray profile: F = P/D, one Fraction per
+coefficient (profile.rows_F), the cscS verdict m P1 == n P2 in ints
+(profile.rows_cscS, the verdict cscS_check gives a profile) and the slope
+(m-n)/(m+n) (slope).
+
+When the Bernstein coefficients of H prove H > 0 on the closed square
+[-1, 1]^2 (exactmath.certify_positive, in at most 16 boxes), every ray is
+extremal: each grid ray's verdict, the one extremal region with no moat, and
+the label genuine of every cscS root follow with no Sturm test, and
+connectivity is "proven".
 
 Otherwise each verdict is a Sturm count over the integers on H at the ray,
-read off by the table's one row evaluation (ProfileTable.rows_at), with no
-per-ray solve or division: at the grid points, the bisection midpoints and
-the ends of the cscS root brackets.  Each extremal/non-extremal transition
-between grid points is bisected down to a bracket of width <=
-boundary_width, and a cscS root is labelled by the verdict at its exact
-value, or at both ends of its bracket.
+read off by the same row evaluation on H's rows, with no per-ray solve or
+division: at the grid points, the bisection midpoints and the ends of the
+cscS root brackets.  Each extremal/non-extremal transition between grid
+points is bisected down to a bracket of width <= boundary_width, and a cscS
+root is labelled by the verdict at its exact value, or at both ends of its
+bracket.
 Regions are reported with bracket endpoints, since the exact boundary between
 certified sample points is not decided, and a moat between two samples would
 go unseen: connectivity is "sampled", not proven.
@@ -32,7 +38,7 @@ from typing import Optional, Tuple
 from .cscs import csc_roots
 from .errors import DomainError, InexactDivision
 from .exactmath import IntPoly, UniPoly, certify_positive, is_positive_on_open
-from .profile import compute_profile, cscS_check, profile_table
+from .profile import compute_profile, cscS_check, profile_table, rows_cscS, rows_F
 
 
 @dataclass(frozen=True)
@@ -110,23 +116,20 @@ def _extremal_rows(rows):
     return _positive(_over_one_minus_z2(rows[3:]))
 
 
-def _ray(prof, extremal):
-    """The ray of a profile with its extremal verdict and its cscS verdict."""
-    return RayClassification(c=prof.c, extremal=extremal, cscS=cscS_check(prof), F=prof.F)
-
-
 def classify_ray(setup, c):
     """Profile plus the two verdicts for a single ray: extremal and cscS."""
     prof = compute_profile(setup, c)
-    return _ray(prof, _extremal_rows(prof.rows))
+    return RayClassification(c=prof.c, extremal=_extremal_rows(prof.rows),
+                             cscS=cscS_check(prof), F=prof.F)
 
 
 def slope(c):
-    """Slope (1-c)/(1+c) of the ray's direction in the first-quadrant picture."""
-    c = Fraction(c)
-    if c == -1:
+    """Slope (1-c)/(1+c) of the ray's direction in the first-quadrant
+    picture, for an int or Fraction c = n/m: (m-n)/(m+n), one Fraction."""
+    n, m = c.numerator, c.denominator
+    if n == -m:
         raise DomainError("slope undefined at c = -1")
-    return (1 - c) / (1 + c)
+    return Fraction(m - n, m + n)
 
 
 def _cone_rows(table):
@@ -145,10 +148,15 @@ def _bisect_transition(extremal_at, lo, hi, lo_extremal, boundary_width):
     return lo, hi
 
 
+# the largest grid a scan takes (README, --grid-n)
+GRID_N_MAX = 4096
+
+
 def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
-    """Classify the grid c = -1 + 2i/(grid_n+1) and assemble the full report."""
-    if not (isinstance(grid_n, int) and grid_n >= 8):
-        raise DomainError(f"grid_n must be an integer >= 8, got {grid_n!r}")
+    """Classify the grid c = -1 + 2i/(grid_n+1), 8 <= grid_n <= GRID_N_MAX,
+    and assemble the full report."""
+    if not (isinstance(grid_n, int) and 8 <= grid_n <= GRID_N_MAX):
+        raise DomainError(f"grid_n must be an integer in [8, {GRID_N_MAX}], got {grid_n!r}")
     boundary_width = Fraction(boundary_width)
     if boundary_width <= 0:
         raise DomainError("boundary_width must be positive")
@@ -161,8 +169,13 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
     def extremal_at(c):
         return proven or _positive(table.rows_at(c, H))
 
-    grid = [Fraction(-1) + Fraction(2 * i, grid_n + 1) for i in range(1, grid_n + 1)]
-    rays = [_ray(table.profile_at(c), extremal_at(c)) for c in grid]
+    def ray(c):
+        rows = table.rows_at(c)
+        return RayClassification(c=c, extremal=extremal_at(c), cscS=rows_cscS(c, rows),
+                                 F=rows_F(rows))
+
+    grid = [Fraction(2 * i - grid_n - 1, grid_n + 1) for i in range(1, grid_n + 1)]
+    rays = [ray(c) for c in grid]
 
     # boundary brackets between runs of constant extremality, plus the edges
     borders = [(Fraction(-1), Fraction(-1))]

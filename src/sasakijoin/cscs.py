@@ -11,8 +11,9 @@ numerator N (condition_numerator) is derived in closed form from the
 Einstein-Hilbert functional H = S^(p-1) / V^(p-2), whose critical points are
 the cscS rays; for p = 5 it has a frozen closed form (h_poly_p5, up to the
 constant 4/9).  N is the one route to the condition: csc_condition divides
-N(c) by the denominator, and csc_roots isolates and identifies the roots of N
-in (-1, 1) with the certified root machinery.
+N(c) by the denominator, in ints on the integer N over its scale, and
+csc_roots isolates and identifies the roots of N in (-1, 1) with the
+certified root machinery.
 
 N is built over Z: _cleared_parts scales each cleared moment by E = lcm(|e|)
 over its exponents e and divides out the removable c^(r+2) by a slice, and
@@ -29,11 +30,20 @@ from .exactmath import IntPoly, UniPoly, isolate_roots
 
 def csc_condition(setup, c):
     """Exact value of the scalar quantity whose vanishing marks a cscS ray,
-    N(c) / (1-c^2)^(2p-3) with N = condition_numerator(setup); |c| < 1."""
-    c = Fraction(c)
-    if abs(c) >= 1:
+    N(c) / (1-c^2)^(2p-3) with N = condition_numerator(setup), for an int or
+    Fraction c = n/m, |c| < 1.
+
+    It reads the integer N over its scale (_integer_numerator) in ints: with
+    e = 2p-3 and N_h = m^deg(N) N(n/m) (IntPoly.homogeneous), the value is
+    N_h m^(2e - deg N) / (scale (m^2 - n^2)^e), one Fraction (deg N <= 2p-5
+    < 2e)."""
+    n, m = c.numerator, c.denominator
+    if abs(n) >= m:
         raise DomainError(f"need |c| < 1, got c = {c}")
-    return condition_numerator(setup)(c) / (1 - c * c) ** (2 * setup.p - 3)
+    N, scale = _integer_numerator(setup)
+    e = 2 * setup.p - 3
+    return Fraction(N.homogeneous(n, m) * m ** (2 * e - N.degree),
+                    scale * (m * m - n * n) ** e)
 
 
 def h_poly_p5(setup):
@@ -96,7 +106,15 @@ def _cleared_parts(r, q, k):
 
 
 def condition_numerator(setup):
-    """The polynomial N with csc_condition(c) * (1-c^2)^(2p-3) = N(c), exactly.
+    """The polynomial N with csc_condition(c) * (1-c^2)^(2p-3) = N(c), exactly:
+    the integer N of _integer_numerator over its scale, as a UniPoly."""
+    N, scale = _integer_numerator(setup)
+    return UniPoly(Fraction(v, scale) for v in N.coeffs)
+
+
+def _integer_numerator(setup):
+    """(N, scale): the integer polynomial N and the positive int scale with
+    condition_numerator(setup) = N / scale.
 
     Derived from the Einstein-Hilbert functional (Boyer-Huang-Legendre-
     Tonnesen-Friedman, IMRN 2017).  With V = alpha(0, -(p-1)) and
@@ -124,7 +142,7 @@ def condition_numerator(setup):
     that integer N, times x_d at c = +-1: the endpoint values and
     deg N <= 2p-5 (the degree can fall below 2p-5, since the leading
     coefficient is affine in (a, s) and vanishes on a line).  The result is
-    the integer N divided by its scale.
+    the integer N and its scale.
     """
     p, a, s, x = setup.p, setup.a, setup.s, setup.x
     k = p - 2
@@ -145,8 +163,7 @@ def condition_numerator(setup):
             or xd * N.homogeneous(-1) != -end * (xd + xn) ** 2):
         raise InternalInconsistency(
             f"cscS numerator fails its degree or endpoint check at p={p}")
-    scale = (p - 1) * (p - 2) * E1 * E2 * L * xd
-    return UniPoly(Fraction(v, scale) for v in N.coeffs)
+    return N, (p - 1) * (p - 2) * E1 * E2 * L * xd
 
 
 def csc_roots(setup, width):

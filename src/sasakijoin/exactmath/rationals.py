@@ -66,20 +66,18 @@ def _int_str(n):
 def format_rational(value):
     """Render a Rational or an int as "p/q", or "p" when the denominator is 1,
     with every digit however long p and q are."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    if value.denominator == 1:
-        return _int_str(value.numerator)
-    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+    n, d = value.numerator, value.denominator
+    if d == 1:
+        return _int_str(n)
+    return f"{_int_str(n)}/{_int_str(d)}"
 
 
 def decimal_str(value):
     """Display-only decimal of a Rational or an int: repr of the nearest
     double under round-to-nearest, the correctly rounded p / q, so "inf" or
     "-inf" past the largest finite double."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
+    n, d = value.numerator, value.denominator
     try:
-        return repr(value.numerator / value.denominator)
+        return repr(n / d)
     except OverflowError:
-        return "inf" if value > 0 else "-inf"
+        return "inf" if n > 0 else "-inf"

@@ -34,14 +34,17 @@ _certify checks the rows exactly through the same map (the table at one
 integer point, ProfileTable), also for the p = 4 closed form of
 twins.cp1_profile, and _read divides them by D and keeps them in the
 profile: the extremal verdict (conescan) and the twin equations (twins)
-read the rows, not F.  Moments enter this module only through the proof
-above; the cleared moments behind the cscS numerator are in cscs.
+read the rows, not F.  rows_F and rows_cscS are the one reading of F and
+of the cscS verdict from a ray's rows, for a profile and for a scan's grid
+ray, which builds no profile.  Moments enter this module only through the
+proof above; the cleared moments behind the cscS numerator are in cscs.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import DomainError, InternalInconsistency
 from .exactmath import IntPoly, UniPoly
@@ -243,12 +246,25 @@ def _content(D0, values):
     return g if D0 > 0 else -g
 
 
+def rows_F(rows):
+    """F = P/D of a ray's integer rows (D, P1, P2, P_0..P_p), at any common
+    scale: one Fraction per coefficient."""
+    D = rows[0]
+    return UniPoly([Fraction(Pk, D) for Pk in rows[3:]])
+
+
+def rows_cscS(c, rows):
+    """The cscS verdict A1 == c A2 of a ray's integer rows (D, P1, P2, ...)
+    at c = n/m, at any common nonzero scale: with D cleared it reads
+    m P1 == n P2, in ints."""
+    return c.denominator * rows[1] == c.numerator * rows[2]
+
+
 def _read(c, p, rows):
     """The ExtremalProfile at c of integer rows (D, P1, P2, P_0..P_p)."""
-    D, P1, P2, *P = rows
-    return ExtremalProfile(c=c, F=UniPoly(Fraction(Pk, D) for Pk in P),
-                           A1=Fraction(P1, D), A2=Fraction(P2, D), p=p,
-                           rows=tuple(rows))
+    D, P1, P2 = rows[:3]
+    return ExtremalProfile(c=c, F=rows_F(rows), A1=Fraction(P1, D), A2=Fraction(P2, D),
+                           p=p, rows=tuple(rows))
 
 
 def compute_profile(setup, c):
@@ -305,7 +321,7 @@ class ProfileTable:
     scale, which carries D's sign (the tests pin profile_table's D to
     (1-c^2)^(2p-2) times minus the determinant of the Gram matrix of the
     module docstring).  A ray c = n/m costs one dot product with
-    n^j m^(N-j) per row, N the largest degree (rows_at), and _read.
+    n^j m^(N-j) per row, N the largest degree (rows_at).
     """
 
     def __init__(self, setup, rows, scale=1):
@@ -332,13 +348,13 @@ class ProfileTable:
         """rows, int coefficient sequences in c of degree <= N (by default
         the table's (D, P1, P2, P_0..P_p)), at the ray c = n/m in lowest
         terms, times m^N: ints with F = P/D and (A1, A2) = (P1, P2)/D."""
-        if abs(c) >= 1:
-            raise DomainError(f"ray parameter must satisfy |c| < 1, got {c}")
         n, m, N = c.numerator, c.denominator, self._degree
+        if abs(n) >= m:
+            raise DomainError(f"ray parameter must satisfy |c| < 1, got {c}")
         weights = [n ** j * m ** (N - j) for j in range(N + 1)]
         if rows is None:
             rows = [row.coeffs for row in self.rows]
-        return [sum(v * w for v, w in zip(row, weights)) for row in rows]
+        return [sum(map(mul, row, weights)) for row in rows]
 
     def profile_at(self, c):
         """The profile of the ray at parameter c, read off the table."""
@@ -373,5 +389,6 @@ def profile_table(setup):
 
 
 def cscS_check(profile):
-    """True iff the ray at this profile has constant scalar curvature."""
-    return profile.A1 - profile.c * profile.A2 == 0
+    """True iff the ray at this profile has constant scalar curvature,
+    A1 == c A2, read off its integer rows by rows_cscS."""
+    return rows_cscS(profile.c, profile.rows)

@@ -96,6 +96,8 @@ def roots_document(setup, width, roots):
 
 
 def scan_document(report):
+    # rays and slope_map hold the same grid c's, each formatted once
+    grid = [number_field(c) for c, _ in report.slope_map]
     doc = _document("scan", schema=2)
     doc.update({
         "setup": setup_field(report.setup),
@@ -104,12 +106,12 @@ def scan_document(report):
         "whole_cone_boxes": report.whole_cone_boxes,
         "rays": [
             {
-                "c": number_field(r.c),
+                "c": c,
                 "extremal": r.extremal,
                 "cscS": r.cscS,
                 "F": poly_field(r.F),
             }
-            for r in report.rays
+            for c, r in zip(grid, report.rays)
         ],
         "extremal_intervals": [region_field(r) for r in report.extremal_intervals],
         "moats": [region_field(r) for r in report.moats],
@@ -122,8 +124,8 @@ def scan_document(report):
             for entry in report.csc_rays
         ],
         "slope_map": [
-            {"c": number_field(c), "slope": number_field(m)}
-            for c, m in report.slope_map
+            {"c": c, "slope": number_field(m)}
+            for c, (_, m) in zip(grid, report.slope_map)
         ],
     })
     return doc
@@ -214,7 +216,11 @@ def _write(value, newline, parts):
             parts.append(opener)
             parts.append(_quote(key))
             parts.append(": ")
-            _write(value[key], inner, parts)
+            item = value[key]
+            if isinstance(item, str):  # most values are the strs of number fields
+                parts.append(_quote(item))
+            else:
+                _write(item, inner, parts)
             opener = "," + inner
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):

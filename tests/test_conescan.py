@@ -8,8 +8,11 @@ import pytest
 import sympy as sp
 
 from sasakijoin import (
+    ExtremalProfile,
     ProfileTable,
     classify_ray,
+    compute_profile,
+    cscS_check,
     make_setup,
     profile_table,
     exact_divide,
@@ -18,6 +21,7 @@ from sasakijoin import (
     slope,
     UniPoly,
 )
+import sasakijoin.cli as cli
 import sasakijoin.conescan as conescan
 from sasakijoin.conescan import _extremal_rows
 from sasakijoin.errors import DomainError
@@ -26,7 +30,9 @@ from support import (
     proportional,
     random_c,
     random_setup,
+    scan_pool,
     setup_moat,
+    setup_of,
     setup_no_csc,
     setup_positive_example,
     setup_three_roots,
@@ -152,11 +158,76 @@ def test_scan_rays_match_single_ray_classification():
     rng = random.Random(67)
     setups = [setup_three_roots(), setup_moat(F(9, 10))]
     setups += [random_setup(rng, d=d) for d in (1, 2, 3)]
+    setups += [setup_of(argv) for argv in scan_pool()[::8]]
+    assert len(setups) == 11
     for setup in setups:
-        report = scan(setup, grid_n=8)
-        assert len(report.rays) == 8
-        for ray in report.rays:
+        report = scan(setup, grid_n=33)
+        assert len(report.rays) == 33
+        for ray, (c, m) in zip(report.rays, report.slope_map):
+            prof = compute_profile(setup, ray.c)
             assert ray == classify_ray(setup, ray.c)
+            assert ray.F == prof.F
+            assert ray.cscS == (prof.A1 - ray.c * prof.A2 == 0)
+            assert c == ray.c and m == (1 - c) / (1 + c)
+
+
+def _count_builds(monkeypatch):
+    """Counts of the Fractions and ExtremalProfiles built from here on."""
+    count = {"Fraction": 0, "ExtremalProfile": 0}
+    new, init = Fraction.__new__, ExtremalProfile.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        count["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        count["ExtremalProfile"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(ExtremalProfile, "__init__", counting_init)
+    return count
+
+
+def test_a_proven_pool_scan_builds_no_profile(monkeypatch):
+    # a grid ray is read off the table's integer rows: its c, the p+1
+    # coefficients of F and its slope are its only Fractions; the rest is
+    # the cscS roots (54 for this setup's one root)
+    setup = setup_of(scan_pool()[1])
+    assert setup.p == 5
+    count = _count_builds(monkeypatch)
+    report = scan(setup, grid_n=33)
+    assert report.connectivity == "proven" and len(report.csc_rays) == 1
+    assert count["ExtremalProfile"] == 0
+    assert count["Fraction"] <= 33 * (setup.p + 3) + 60
+
+
+def test_the_ray_verdicts_run_no_fraction_arithmetic(monkeypatch):
+    # cscS_check reads m P1 == n P2 off the rows; slope builds its result
+    profiles = [compute_profile(setup_no_csc(), c) for c in (F(2, 5), F(1, 3), F(-7, 9))]
+    rays, slopes = (F(9, 10), F(-1, 2), 0, F(1)), (F(1, 19), F(3), F(1), F(0))
+    count = _count_builds(monkeypatch)
+    assert [cscS_check(prof) for prof in profiles] == [True, False, False]
+    assert count["Fraction"] == 0
+    assert tuple(slope(c) for c in rays) == slopes
+    assert count["Fraction"] == 4
+
+
+def test_scan_rejects_a_grid_past_the_cap(monkeypatch, capsys):
+    # the cap is checked before any work: the table is never built
+    def no_table(setup):
+        raise AssertionError("profile_table called")
+
+    monkeypatch.setattr(conescan, "profile_table", no_table)
+    setup = setup_positive_example()
+    for grid_n in (conescan.GRID_N_MAX + 1, 10 ** 11):
+        with pytest.raises(DomainError, match="grid_n"):
+            scan(setup, grid_n=grid_n)
+        code = cli.main(["scan", "--d", "1", "--a", "19/3", "--g2", "3", "--k", "1",
+                         "--x", "1/2", "--grid-n", str(grid_n)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("configuration error: grid_n")
 
 
 def test_scan_refinement_is_monotone():

@@ -81,6 +81,18 @@ def test_condition_rejects_out_of_range_rotation(c):
         csc_condition(setup_no_csc(), c)
 
 
+@pytest.mark.parametrize("p", range(5, 11))
+def test_integer_condition_matches_the_numerator_over_the_denominator(p):
+    # csc_condition reads the integer N at c = n/m; the UniPoly route divides
+    # N(c) by (1-c^2)^(2p-3) in Fractions
+    rng = random.Random(p)
+    edge = 1 - F(1, 2 ** 200)
+    for setup in [random_setup(rng, d=p - 4) for _ in range(3)]:
+        N = condition_numerator(setup)
+        for c in [F(0), edge, -edge] + [random_c(rng) for _ in range(5)]:
+            assert csc_condition(setup, c) == N(c) / (1 - c * c) ** (2 * p - 3)
+
+
 def test_h_closed_form_matches_condition():
     rng = random.Random(13)
     for _ in range(50):
