@@ -68,7 +68,8 @@ def build_parser():
     p_scan.add_argument("--grid-n", type=int, default=33, dest="grid_n",
                         help=f"number of grid rays, 8 to {GRID_N_MAX} (default 33)")
     p_scan.add_argument("--boundary-width", type=_rational,
-                        default=Fraction(1, 2048), dest="boundary_width")
+                        default=Fraction(1, 2048), dest="boundary_width",
+                        help="boundary bracket width, at least 1/2^256 (default 1/2048)")
     p_scan.add_argument("--out", help="JSON output path (default: stdout)")
     p_scan.add_argument("--csv", help="CSV table output path")
     p_scan.add_argument("--svg", help="SVG diagram output path")

@@ -150,16 +150,18 @@ def _bisect_transition(extremal_at, lo, hi, lo_extremal, boundary_width):
 
 # the largest grid a scan takes (README, --grid-n)
 GRID_N_MAX = 4096
+# the narrowest boundary bracket a scan bisects to (README, --boundary-width)
+BOUNDARY_WIDTH_MIN = Fraction(1, 2 ** 256)
 
 
 def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
     """Classify the grid c = -1 + 2i/(grid_n+1), 8 <= grid_n <= GRID_N_MAX,
-    and assemble the full report."""
+    bracket each boundary to boundary_width >= BOUNDARY_WIDTH_MIN, and report."""
     if not (isinstance(grid_n, int) and 8 <= grid_n <= GRID_N_MAX):
         raise DomainError(f"grid_n must be an integer in [8, {GRID_N_MAX}], got {grid_n!r}")
     boundary_width = Fraction(boundary_width)
-    if boundary_width <= 0:
-        raise DomainError("boundary_width must be positive")
+    if boundary_width < BOUNDARY_WIDTH_MIN:
+        raise DomainError("boundary_width must be at least 1/2^256")
 
     table = profile_table(setup)
     H = _cone_rows(table)

@@ -45,11 +45,6 @@ class MultiPoly:
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_affine(self):
         """True iff every monomial has total degree <= 1."""
         return all(sum(e) <= 1 for e in self.terms)
@@ -132,16 +127,3 @@ class MultiPoly:
                 e2 = tuple(v - 1 if j == i else v for j, v in enumerate(e))
                 out[e2] = out.get(e2, Fraction(0)) + c * e[i]
         return MultiPoly(self.n_vars, out)
-
-    def eval(self, point):
-        """Exact value at a rational point (sequence of length n_vars)."""
-        point = [Fraction(v) for v in point]
-        if len(point) != self.n_vars:
-            raise DomainError("point length mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for xi, ei in zip(point, e):
-                v *= xi**ei
-            total += v
-        return total

@@ -356,11 +356,6 @@ class ProfileTable:
             rows = [row.coeffs for row in self.rows]
         return [sum(map(mul, row, weights)) for row in rows]
 
-    def profile_at(self, c):
-        """The profile of the ray at parameter c, read off the table."""
-        c = Fraction(c)
-        return _read(c, self.setup.p, self.rows_at(c))
-
 
 def profile_table(setup):
     """The certified ProfileTable of a setup.

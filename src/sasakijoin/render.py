@@ -1,16 +1,17 @@
 """Report rendering: JSON documents, the scan CSV table, and the SVG diagram.
 
-Every number in a JSON document carries its exact rational string plus a
-display-only decimal, the repr of the nearest double ("inf" or "-inf" past the
-largest finite one).  A document holds only dicts with str keys, lists,
-tuples, str, int, bool and None; dump_json writes it as
-json.dumps(doc, indent=2, sort_keys=True) does, byte for byte, without json's
-pure-Python indenting encoder.  No timestamps appear anywhere, so identical
+A document holds dicts with str keys, lists, tuples, str, int, bool, None and
+Fraction.  dump_json writes each Fraction as a number field: its exact
+rational string and a display-only decimal, the repr of the nearest double
+("inf" or "-inf" past the largest finite one).  The text is that of
+json.dumps(doc, indent=2, sort_keys=True) with each Fraction replaced by its
+number field, byte for byte.  No timestamps appear anywhere, so identical
 inputs give identical text.
 """
 
 import os
 import tempfile
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._version import __version__
@@ -19,47 +20,37 @@ from .errors import DomainError
 from .exactmath import decimal_str, format_rational
 
 
-def number_field(value):
-    return {"exact": format_rational(value), "decimal": decimal_str(value)}
-
-
 def poly_field(poly):
     return {
         "degree": poly.degree,
-        "coefficients_low_to_high": [number_field(c) for c in poly.coeffs],
+        "coefficients_low_to_high": poly.coeffs,
     }
 
 
 def root_field(root):
-    out = {
-        "lo": number_field(root.lo),
-        "hi": number_field(root.hi),
+    return {
+        "lo": root.lo,
+        "hi": root.hi,
         "certificate": root.multiplicity_note,
+        "exact_value": root.exact_value,
     }
-    out["exact_value"] = (None if root.exact_value is None
-                          else number_field(root.exact_value))
-    return out
 
 
 def setup_field(setup):
     return {
         "d": setup.d,
-        "a": number_field(setup.a),
+        "a": setup.a,
         "g2": setup.genus_g2,
         "k": setup.degree_k,
-        "s": number_field(setup.s),
-        "x": number_field(setup.x),
+        "s": setup.s,
+        "x": setup.x,
         "p": setup.p,
     }
 
 
-def _bracket_field(bracket):
-    lo, hi = bracket
-    return {"lo": number_field(lo), "hi": number_field(hi)}
-
-
 def region_field(region):
-    return {"left": _bracket_field(region.left), "right": _bracket_field(region.right)}
+    (left_lo, left_hi), (right_lo, right_hi) = region.left, region.right
+    return {"left": {"lo": left_lo, "hi": left_hi}, "right": {"lo": right_lo, "hi": right_hi}}
 
 
 def _document(command, schema=1):
@@ -74,13 +65,13 @@ def profile_document(setup, prof, extremal, cscS, condition_value):
     doc = _document("profile")
     doc.update({
         "setup": setup_field(setup),
-        "c": number_field(prof.c),
+        "c": prof.c,
         "F": poly_field(prof.F),
-        "A1": number_field(prof.A1),
-        "A2": number_field(prof.A2),
+        "A1": prof.A1,
+        "A2": prof.A2,
         "extremal": extremal,
         "cscS": cscS,
-        "csc_condition": number_field(condition_value),
+        "csc_condition": condition_value,
     })
     return doc
 
@@ -89,29 +80,27 @@ def roots_document(setup, width, roots):
     doc = _document("csc-roots")
     doc.update({
         "setup": setup_field(setup),
-        "width": number_field(width),
+        "width": width,
         "roots": [root_field(r) for r in roots],
     })
     return doc
 
 
 def scan_document(report):
-    # rays and slope_map hold the same grid c's, each formatted once
-    grid = [number_field(c) for c, _ in report.slope_map]
     doc = _document("scan", schema=2)
     doc.update({
         "setup": setup_field(report.setup),
-        "boundary_width": number_field(report.boundary_width),
+        "boundary_width": report.boundary_width,
         "connectivity": report.connectivity,
         "whole_cone_boxes": report.whole_cone_boxes,
         "rays": [
             {
-                "c": c,
+                "c": r.c,
                 "extremal": r.extremal,
                 "cscS": r.cscS,
                 "F": poly_field(r.F),
             }
-            for c, r in zip(grid, report.rays)
+            for r in report.rays
         ],
         "extremal_intervals": [region_field(r) for r in report.extremal_intervals],
         "moats": [region_field(r) for r in report.moats],
@@ -123,10 +112,7 @@ def scan_document(report):
             }
             for entry in report.csc_rays
         ],
-        "slope_map": [
-            {"c": c, "slope": number_field(m)}
-            for c, (_, m) in zip(grid, report.slope_map)
-        ],
+        "slope_map": [{"c": c, "slope": m} for c, m in report.slope_map],
     })
     return doc
 
@@ -135,8 +121,8 @@ def twins_document(setup, report):
     doc = _document("twins")
     doc.update({
         "setup": setup_field(setup),
-        "base_c": number_field(report.base_c),
-        "partners": [number_field(c) for c in report.partners],
+        "base_c": report.base_c,
+        "partners": report.partners,
         "shared_F": poly_field(report.shared_F),
         "unresolved": [root_field(r) for r in report.unresolved],
     })
@@ -147,10 +133,10 @@ def toric_document(n, lam, l, result):
     doc = _document("toric")
     doc.update({
         "n": n,
-        "lambda": number_field(lam),
+        "lambda": lam,
         "l": l,
         "solutions": [
-            {"v": number_field(sol["v"]), "admissible": sol["admissible"]}
+            {"v": sol["v"], "admissible": sol["admissible"]}
             for sol in result["solutions"]
         ],
         "any_admissible": result["any_admissible"],
@@ -167,8 +153,8 @@ def join_document(spec, smooth, vectors, dims=None):
         "order2": spec.order2,
         "smooth": smooth,
         "vectors": {
-            "reeb": [number_field(v) for v in vectors["reeb"]],
-            "lvec": [number_field(v) for v in vectors["lvec"]],
+            "reeb": vectors["reeb"],
+            "lvec": vectors["lvec"],
             "contact": list(vectors["contact"]),
         },
     })
@@ -202,7 +188,12 @@ def dump_json(doc):
 def _write(value, newline, parts):
     """Append the JSON text of value to parts; newline is "\n" plus the
     indent of the line value starts on."""
-    if isinstance(value, str):
+    if isinstance(value, Fraction):
+        # both strings are ASCII with no quote or backslash: nothing to escape
+        inner = newline + "  "
+        parts.append(f'{{{inner}"decimal": "{decimal_str(value)}",'
+                     f'{inner}"exact": "{format_rational(value)}"{newline}}}')
+    elif isinstance(value, str):
         parts.append(_quote(value))
     elif isinstance(value, dict):
         if not value:
@@ -216,11 +207,7 @@ def _write(value, newline, parts):
             parts.append(opener)
             parts.append(_quote(key))
             parts.append(": ")
-            item = value[key]
-            if isinstance(item, str):  # most values are the strs of number fields
-                parts.append(_quote(item))
-            else:
-                _write(item, inner, parts)
+            _write(value[key], inner, parts)
             opener = "," + inner
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):

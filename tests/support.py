@@ -10,8 +10,10 @@ from math import comb, factorial
 from pathlib import Path
 
 from sasakijoin import UniPoly, exact_divide, integrate_weighted_monomial, make_setup
+from sasakijoin.exactmath import decimal_str, format_rational
 from sasakijoin.exactmath.roots import (RootInterval, _prepare, _variations,
                                         identify_rational_root)
+from sasakijoin.profile import _read
 # the worked examples are built once, by the reproduction suite
 from sasakijoin.reproduce import (  # noqa: F401
     setup_moat,
@@ -26,10 +28,16 @@ ONE_MINUS_Z2 = UniPoly((1, 0, -1))
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
+def _number_field(value):
+    if not isinstance(value, Fraction):
+        raise TypeError(f"a document holds no {type(value).__name__}")
+    return {"exact": format_rational(value), "decimal": decimal_str(value)}
+
+
 def reference_dump(doc):
-    """The JSON text of a document as the standard library writes it, the
-    oracle for render.dump_json."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The JSON text of a document as the standard library writes it, each
+    Fraction as its number field: the oracle for render.dump_json."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=_number_field) + "\n"
 
 
 @contextlib.contextmanager
@@ -41,6 +49,13 @@ def digit_limit(limit):
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def profile_at(table, c):
+    """The profile of the ray at parameter c, read off a ProfileTable's rows."""
+    c = Fraction(c)
+    return _read(c, table.setup.p, table.rows_at(c))
+
 
 def setup_of(argv):
     """The setup of a CLI argv's --d, --a, --g2, --k and --x flags."""

