@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import render, reproduce
-from .conescan import GRID_N_MAX, _extremal_rows, scan
+from .conescan import GRID_N_MAX, rows_extremal, scan
 from .cscs import csc_condition, csc_roots
 from .errors import DomainError
 from .exactmath import parse_rational
@@ -124,7 +124,7 @@ def _setup_from_args(args):
 def _run_profile(args):
     setup = _setup_from_args(args)
     prof = compute_profile(setup, args.c)
-    doc = render.profile_document(setup, prof, _extremal_rows(prof.rows),
+    doc = render.profile_document(setup, prof, rows_extremal(prof.rows),
                                   cscS_check(prof), csc_condition(setup, args.c))
     _emit(render.dump_json(doc), args.out)
     return 0

@@ -2,16 +2,17 @@
 
 A ray is extremal iff H = P/(1-z^2) > 0 on (-1, 1), for the integer rows
 (D, P1, P2, P_0..P_p) of its profile: profile gives them with D > 0, so H is
-F/(1-z^2) times a positive factor.  One exact recursion divides by 1-z^2
-(_over_one_minus_z2), on one ray's int rows (_extremal_rows, for
-classify_ray) or once on the table's rows over Z[c] (_cone_rows).
+F/(1-z^2) times a positive factor.  rows_extremal is the one extremal
+verdict, a Sturm test on H from one ray's int rows, for classify_ray, the
+profile command and every ray a scan probes.  One exact recursion divides by
+1-z^2 (_over_one_minus_z2), on one ray's int rows or once on the table's
+rows over Z[c] (_cone_rows), the whole-cone certificate's input.
 
-A scan builds the setup's certified profile table and H on it once.  Each
-grid ray c = n/m is read off one integer row evaluation of the table
-(ProfileTable.rows_at), with no per-ray profile: F = P/D, one Fraction per
-coefficient (profile.rows_F), the cscS verdict m P1 == n P2 in ints
-(profile.rows_cscS, the verdict cscS_check gives a profile) and the slope
-(m-n)/(m+n) (slope).
+A scan builds the setup's certified profile table once and reads each ray
+it probes, c = n/m, off one integer row evaluation (ProfileTable.rows_at),
+with no per-ray profile.  At a grid ray that gives F = P/D (profile.rows_F),
+the cscS verdict m P1 == n P2 in ints (profile.rows_cscS, as cscS_check for
+a profile) and the slope (m-n)/(m+n) (slope).
 
 When the Bernstein coefficients of H prove H > 0 on the closed square
 [-1, 1]^2 (exactmath.certify_positive, in at most 16 boxes), every ray is
@@ -19,13 +20,11 @@ extremal: each grid ray's verdict, the one extremal region with no moat, and
 the label genuine of every cscS root follow with no Sturm test, and
 connectivity is "proven".
 
-Otherwise each verdict is a Sturm count over the integers on H at the ray,
-read off by the same row evaluation on H's rows, with no per-ray solve or
-division: at the grid points, the bisection midpoints and the ends of the
-cscS root brackets.  Each extremal/non-extremal transition between grid
-points is bisected down to a bracket of width <= boundary_width, and a cscS
-root is labelled by the verdict at its exact value, or at both ends of its
-bracket.
+Otherwise rows_extremal gives the verdict at each grid ray, bisection
+midpoint and cscS root bracket end.  Each extremal/non-extremal transition
+between grid points is bisected down to a bracket of width <=
+boundary_width, and a cscS root is labelled by the verdict at its exact
+value, or at both ends of its bracket.
 Regions are reported with bracket endpoints, since the exact boundary between
 certified sample points is not decided, and a moat between two samples would
 go unseen: connectivity is "sampled", not proven.
@@ -106,20 +105,17 @@ def _over_one_minus_z2(P):
     return H[:-2]
 
 
-def _positive(H):
-    """True iff the int coefficients H give a polynomial > 0 on (-1, 1)."""
+def rows_extremal(rows):
+    """The extremal verdict of a ray's integer rows (D, P1, P2, P_0..P_p),
+    at any common positive scale: H = P/(1-z^2) > 0 on (-1, 1)."""
+    H = _over_one_minus_z2(rows[3:])
     return is_positive_on_open(IntPoly(H).primitive(), -1, 1)
-
-
-def _extremal_rows(rows):
-    """The extremal verdict of one ray's integer rows (D, P1, P2, P_0..P_p)."""
-    return _positive(_over_one_minus_z2(rows[3:]))
 
 
 def classify_ray(setup, c):
     """Profile plus the two verdicts for a single ray: extremal and cscS."""
     prof = compute_profile(setup, c)
-    return RayClassification(c=prof.c, extremal=_extremal_rows(prof.rows),
+    return RayClassification(c=prof.c, extremal=rows_extremal(prof.rows),
                              cscS=cscS_check(prof), F=prof.F)
 
 
@@ -134,7 +130,7 @@ def slope(c):
 
 def _cone_rows(table):
     """H = P(z, c)/(1-z^2) on the table, as int rows, one per power of z,
-    each its coefficients in c."""
+    each its coefficients in c: certify_positive's input."""
     return [h.coeffs for h in _over_one_minus_z2(table.rows[3:])]
 
 
@@ -164,17 +160,16 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
         raise DomainError("boundary_width must be at least 1/2^256")
 
     table = profile_table(setup)
-    H = _cone_rows(table)
-    boxes = certify_positive(H)
+    boxes = certify_positive(_cone_rows(table))
     proven = boxes is not None
 
     def extremal_at(c):
-        return proven or _positive(table.rows_at(c, H))
+        return proven or rows_extremal(table.rows_at(c))
 
     def ray(c):
         rows = table.rows_at(c)
-        return RayClassification(c=c, extremal=extremal_at(c), cscS=rows_cscS(c, rows),
-                                 F=rows_F(rows))
+        return RayClassification(c=c, extremal=proven or rows_extremal(rows),
+                                 cscS=rows_cscS(c, rows), F=rows_F(rows))
 
     grid = [Fraction(2 * i - grid_n - 1, grid_n + 1) for i in range(1, grid_n + 1)]
     rays = [ray(c) for c in grid]
@@ -189,32 +184,22 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
             segment_flags.append(cur.extremal)
     borders.append((Fraction(1), Fraction(1)))
 
-    extremal_intervals = []
-    moats = []
-    for idx, flag in enumerate(segment_flags):
-        region = ConeInterval(left=borders[idx], right=borders[idx + 1])
-        (extremal_intervals if flag else moats).append(region)
+    regions = list(zip(segment_flags, map(ConeInterval, borders, borders[1:])))
 
     entries = []
     for root in csc_roots(setup, boundary_width):
-        if root.exact_value is not None:
-            genuine = extremal_at(root.exact_value)
-            contested = False
-        else:
-            at_lo = extremal_at(root.lo)
-            at_hi = extremal_at(root.hi)
-            contested = at_lo != at_hi
-            genuine = None if contested else at_lo
-        entries.append(CscRayEntry(root=root, genuine=genuine, contested=contested))
+        probes = (root.lo, root.hi) if root.exact_value is None else (root.exact_value,)
+        verdicts = {extremal_at(c) for c in probes}
+        genuine = verdicts.pop() if len(verdicts) == 1 else None
+        entries.append(CscRayEntry(root=root, genuine=genuine, contested=genuine is None))
 
-    slope_map = tuple((c, slope(c)) for c in grid)
     return ConeScanReport(
         setup=setup,
         rays=tuple(rays),
-        extremal_intervals=tuple(extremal_intervals),
-        moats=tuple(moats),
+        extremal_intervals=tuple(region for flag, region in regions if flag),
+        moats=tuple(region for flag, region in regions if not flag),
         csc_rays=tuple(entries),
-        slope_map=slope_map,
+        slope_map=tuple((c, slope(c)) for c in grid),
         boundary_width=boundary_width,
         connectivity="proven" if proven else "sampled",
         whole_cone_boxes=boxes,

@@ -27,10 +27,9 @@ from .intpoly import IntPoly
 class RootInterval:
     """Open interval (lo, hi) certified to contain exactly one root.
 
-    multiplicity_note records the certificate: "exact" (Sturm count = 1) or
-    "sign-change" (opposite signs at the endpoints).  exact_value is the root
-    when it is rational; on an interval from isolate_roots, None proves the
-    root irrational.
+    multiplicity_note records the certificate, "exact": a Sturm count of 1.
+    exact_value is the root when it is rational; on an interval from
+    isolate_roots, None proves the root irrational.
     """
 
     lo: Fraction
@@ -43,7 +42,7 @@ class RootInterval:
         object.__setattr__(self, "hi", Fraction(self.hi))
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.multiplicity_note not in ("exact", "sign-change"):
+        if self.multiplicity_note != "exact":
             raise DomainError(f"unknown certificate {self.multiplicity_note!r}")
         if self.exact_value is not None:
             object.__setattr__(self, "exact_value", Fraction(self.exact_value))

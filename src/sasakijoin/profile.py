@@ -25,19 +25,17 @@ the right side and _ode_map the left.  A profile is one set of integer rows
 _endpoint_solve derives in the binomial basis F_k = C(p, k) E_k, where the
 ODE is a second difference in E.  Every set of rows this module gives out
 has D > 0 on (-1, 1) (_content), so no other module reads the sign of D.
-compute_profile runs the solve at one ray c = n/m.  profile_table runs it
-at the one integer point c = 2^B, B proven large enough by the same solve
-run on 1-norm majorants (_Norm), and reads each row's value back as its
-coefficients over Z[c] (F(z; c) = P(z, c)/D(c) for every ray of a setup),
-with no polynomial product.
-_certify checks the rows exactly through the same map (the table at one
-integer point, ProfileTable), also for the p = 4 closed form of
-twins.cp1_profile, and _read divides them by D and keeps them in the
-profile: the extremal verdict (conescan) and the twin equations (twins)
-read the rows, not F.  rows_F and rows_cscS are the one reading of F and
-of the cscS verdict from a ray's rows, for a profile and for a scan's grid
-ray, which builds no profile.  Moments enter this module only through the
-proof above; the cleared moments behind the cscS numerator are in cscs.
+compute_profile runs the solve at one ray c = n/m; profile_table runs it at
+the one integer point c = 2^B, B proven large enough by the same solve run
+on 1-norm majorants (_Norm), and reads each row's value back as its
+coefficients over Z[c], with no polynomial product.  _certify checks rows
+exactly through the same map, also for the p = 4 closed form of
+twins.cp1_profile.  Every verdict reads a ray's rows, not F: rows_F,
+rows_cscS and conescan.rows_extremal are the one reading of F, of the cscS
+verdict and of the extremal verdict, for a profile and for a ray a scan
+probes, which builds no profile; the twin equations (twins) read the rows
+too.  Moments enter this module only through the proof above; the cleared
+moments behind the cscS numerator are in cscs.
 """
 
 from dataclasses import dataclass, field
@@ -190,6 +188,17 @@ def _endpoint_solve(side, n, m):
     as the two W differ by positive scalings of the rows and of the H_0 and
     H_1 columns.  So their primitive parts, signs included, agree.
 
+    Affinity in (a, s) (F22).  a and s enter only the source t of
+    _right_side, through s0 and s1, which are linear in them; L scales t, b
+    and the targets alike, so it cancels from the profile: take L = 1.  Then
+    only W's column 0, the source's recursion plus the targets, involves
+    (a, s), and affinely.  So v_0 is free of (a, s), each other v_i, linear
+    in column 0, is affine in them, and so is G, run from (v_1, v_2) on the
+    sources v_0 (1-part) + v_3 (A1-part) + v_4 (A2-part); the rows are these
+    times factors in p and m.  So for fixed (p, x) every table's D (rows
+    times scale, profile_table) is one polynomial in c, and P1, P2 and each
+    P_k are affine in (a, s), coefficient by coefficient.
+
     Majorant.  Every step is a ring operation with int constants, so the
     run on n = _Norm(1), m = 1 gives, for each row, a majorant of the 1-norm
     of that row over Z[c], and so of each of its coefficients.
@@ -321,7 +330,8 @@ class ProfileTable:
     scale, which carries D's sign (the tests pin profile_table's D to
     (1-c^2)^(2p-2) times minus the determinant of the Gram matrix of the
     module docstring).  A ray c = n/m costs one dot product with
-    n^j m^(N-j) per row, N the largest degree (rows_at).
+    n^j m^(N-j) per row, N the largest degree (rows_at), and every verdict
+    on it reads those ints.
     """
 
     def __init__(self, setup, rows, scale=1):
@@ -344,17 +354,15 @@ class ProfileTable:
     P2 = property(lambda self: self._field(2))
     P = property(lambda self: tuple(map(self._field, range(3, len(self.rows)))))
 
-    def rows_at(self, c, rows=None):
-        """rows, int coefficient sequences in c of degree <= N (by default
-        the table's (D, P1, P2, P_0..P_p)), at the ray c = n/m in lowest
-        terms, times m^N: ints with F = P/D and (A1, A2) = (P1, P2)/D."""
+    def rows_at(self, c):
+        """The table's rows (D, P1, P2, P_0..P_p) at the ray c = n/m in lowest
+        terms, times m^N: ints with F = P/D and (A1, A2) = (P1, P2)/D, and
+        D > 0, which every verdict on the ray reads."""
         n, m, N = c.numerator, c.denominator, self._degree
         if abs(n) >= m:
             raise DomainError(f"ray parameter must satisfy |c| < 1, got {c}")
         weights = [n ** j * m ** (N - j) for j in range(N + 1)]
-        if rows is None:
-            rows = [row.coeffs for row in self.rows]
-        return [sum(map(mul, row, weights)) for row in rows]
+        return [sum(map(mul, row.coeffs, weights)) for row in self.rows]
 
 
 def profile_table(setup):

@@ -10,6 +10,7 @@ inputs give identical text.
 """
 
 import os
+import sys
 import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -283,8 +284,9 @@ def _fmt(v):
 
 
 def _edge_point(slope_value):
-    """Intersection of the ray of given slope with the plot-square boundary."""
-    if slope_value is None:  # vertical edge (c -> -1)
+    """Intersection of the ray of given slope with the plot-square boundary:
+    the vertical edge for None (c -> -1) or a slope past the largest double."""
+    if slope_value is None or slope_value > sys.float_info.max:
         return (0.0, _SIDE)
     m = float(slope_value)
     if m <= 1.0:

@@ -2,9 +2,13 @@
 
 import json
 import os
+import shutil
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -29,6 +33,7 @@ POSITIVE_FLAGS = ["--d", "1", "--a", "-2675/497", "--g2", "2", "--k", "1",
 P7_THREE_ROOTS_FLAGS = ["--d", "3", "--a", "45", "--g2", "11", "--k", "3",
                         "--x", "7/9"]
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, args):
@@ -182,6 +187,35 @@ def test_moat_scan_diagram_is_golden(capsys, tmp_path):
     assert svg.read_text() == (GOLDEN / "scan_moat_grid_16.svg").read_text()
 
 
+def _other_interpreters():
+    """Each python3.X on PATH, X >= 10 (requires-python), that starts and is
+    not of this interpreter's version."""
+    found = []
+    for minor in range(10, 30):
+        path = shutil.which(f"python3.{minor}")
+        if path is None or sys.version_info[:2] == (3, minor):
+            continue
+        probe = subprocess.run([path, "-c", "import sys; print(sys.version_info[:2])"],
+                               capture_output=True, text=True)
+        if probe.stdout == f"(3, {minor})\n":
+            found.append(path)
+    return found
+
+
+def test_the_golden_moat_scan_on_every_other_python(tmp_path):
+    # the library itself, with no test dependency, under each other version
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.X (X >= 10) on PATH")
+    golden = (GOLDEN / "scan_moat_grid_16.json").read_bytes()
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for path in interpreters:
+        run = subprocess.run([path, "-m", "sasakijoin", "scan", *MOAT_FLAGS, "--grid-n", "16"],
+                             capture_output=True, env=env, cwd=tmp_path)
+        assert (run.returncode, run.stderr) == (0, b""), path
+        assert run.stdout == golden, path
+
+
 def test_written_files_get_the_mode_of_a_plain_file(capsys, tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text("")
@@ -264,6 +298,20 @@ def test_values_past_the_largest_double_read_inf(capsys, args, path):
     for key in path:
         field = field[key]
     assert field == {"exact": HUGE, "decimal": "inf"}
+
+
+def test_a_root_next_to_c_minus_one_is_drawn_on_the_vertical_edge(capsys, tmp_path):
+    # the cscS root lies within 2^-1024 of c = -1, so its slope (1-c)/(1+c)
+    # is past the largest double
+    svg = tmp_path / "cone.svg"
+    code, out, err = run_cli(capsys, ["scan", "--d", "1", "--a", HUGE, "--g2", "0",
+                                      "--k", "1", "--x", "1/2", "--svg", str(svg)])
+    assert (code, err) == (0, "")
+    root = json.loads(out)["csc_rays"][0]["root"]
+    assert 1 + F(root["hi"]["exact"]) < F(1, 2 ** 1024)
+    tree = ElementTree.fromstring(svg.read_text())
+    assert tree.tag == "{http://www.w3.org/2000/svg}svg"
+    assert '<circle cx="40.000" cy="40.000" r="3" fill="#117733"/>' in svg.read_text()
 
 
 def test_exact_strings_past_the_digit_limit(capsys):

@@ -23,7 +23,7 @@ from sasakijoin import (
 )
 import sasakijoin.cli as cli
 import sasakijoin.conescan as conescan
-from sasakijoin.conescan import _extremal_rows
+from sasakijoin.conescan import rows_extremal
 from sasakijoin.errors import DomainError
 from support import (
     ONE_MINUS_Z2,
@@ -79,7 +79,7 @@ def test_is_extremal_matches_sympy_near_the_cone_ends(p):
                          for v in reversed(profile.F.coeffs)], z).exquo(sp.Poly(1 - z * z, z))
             want = (G.eval(0) > 0
                     and not any(bool(-1 < r) and bool(r < 1) for r in G.real_roots()))
-            assert _extremal_rows(profile.rows) == want
+            assert rows_extremal(profile.rows) == want
 
 
 # -- slope coordinates ------------------------------------------------------------
@@ -318,8 +318,10 @@ def test_scan_verdicts_match_per_ray_solves():
 
 
 def test_a_sampled_scan_builds_H_once(monkeypatch):
-    # one division by 1-z^2 per scan, and the table's own rows are evaluated
-    # once per grid ray (its profile); every other ray evaluates only H
+    # H over Z[c] is built once, as the whole-cone certificate's input; each
+    # ray a sampled scan probes evaluates the table's rows once and divides
+    # them by 1-z^2 once, for one positivity test, and a proven scan divides
+    # only for the cone
     calls = {"divide": 0, "table rows": 0}
     divide, rows_at = conescan._over_one_minus_z2, ProfileTable.rows_at
 
@@ -327,17 +329,24 @@ def test_a_sampled_scan_builds_H_once(monkeypatch):
         calls["divide"] += 1
         return divide(P)
 
-    def counting_rows_at(self, c, rows=None):
-        calls["table rows"] += rows is None
-        return rows_at(self, c, rows)
+    def counting_rows_at(self, c):
+        calls["table rows"] += 1
+        return rows_at(self, c)
 
     monkeypatch.setattr(conescan, "_over_one_minus_z2", counting_divide)
     monkeypatch.setattr(ProfileTable, "rows_at", counting_rows_at)
-    for grid_n in (16, 33):
+    tests = _count_positivity_tests(monkeypatch)
+    # grid rays, bisection midpoints and the three roots' probes
+    for grid_n, probes in ((16, 37), (33, 52)):
         calls.update({"divide": 0, "table rows": 0})
+        tests.clear()
         report = scan(setup_moat(F(9, 10)), grid_n=grid_n)
         assert report.connectivity == "sampled" and len(report.moats) == 1
-        assert calls == {"divide": 1, "table rows": grid_n}
+        assert calls == {"divide": probes + 1, "table rows": probes}
+        assert len(tests) == probes
+    calls.update({"divide": 0, "table rows": 0})
+    assert scan(setup_moat(F(8, 10)), grid_n=33).connectivity == "proven"
+    assert calls == {"divide": 1, "table rows": 33}
 
 
 # -- the whole-cone certificate ------------------------------------------------------

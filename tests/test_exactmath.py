@@ -623,13 +623,15 @@ def test_identify_rational_root_is_complete(case, width):
 
 
 def test_root_interval_validation():
-    iv = RootInterval(F(1, 4), F(1, 2), "sign-change", exact_value=F(1, 3))
+    iv = RootInterval(F(1, 4), F(1, 2), "exact", exact_value=F(1, 3))
     assert iv.width == F(1, 4)
     assert iv.midpoint == F(3, 8)
     with pytest.raises(DomainError):
         RootInterval(F(1, 2), F(1, 4), "exact")
-    with pytest.raises(DomainError):
-        RootInterval(0, 1, "guessed")
+    # a Sturm count of 1 is the only certificate an interval carries
+    for note in ("guessed", "sign-change"):
+        with pytest.raises(DomainError):
+            RootInterval(0, 1, note)
 
 
 # -- linear solves ------------------------------------------------------------

@@ -16,7 +16,6 @@ PRIVATE_IMPORTS = {
     ("twins", "profile", "_certify"),
     ("twins", "profile", "_ode_map"),
     ("twins", "profile", "_right_side"),
-    ("cli", "conescan", "_extremal_rows"),
 }
 
 

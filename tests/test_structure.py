@@ -12,6 +12,12 @@ proven for every p in the profile module docstring: the table's D is minus
 the endpoint determinant, and a kernel vector of the endpoint system would be
 a nonzero solution with zero data, which its Gram argument rules out.  The
 root count below also covers the endpoints c = +-1.
+
+F22, proven in the profile._endpoint_solve docstring, is checked twice: with
+symbolic (a, s), D is free of them and P1, P2 are affine in them; and on the
+library's tables at four (a, s) points, the fourth an affine combination of
+the other three, D is one polynomial and every other row the same
+combination.
 """
 
 from fractions import Fraction
@@ -99,3 +105,39 @@ def test_profile_table_structure(p, x):
     # F2: N(+-1) = +-K_p (1-+x)^2, proven in the condition_numerator docstring
     K = sp.Rational(2 ** (2 * p - 3), (p - 1) * (p - 2))
     assert (N.eval(1), N.eval(-1)) == (K * (1 - xs) ** 2, -K * (1 + xs) ** 2)
+
+
+@pytest.mark.parametrize("p", [5, 6, 7])
+@pytest.mark.parametrize("x", [F(1, 3), F(1, 2), F(9, 10)])
+def test_the_table_is_affine_in_a_and_s(p, x):
+    # F22, proven in the profile._endpoint_solve docstring: for fixed (p, x),
+    # D is free of (a, s) and every other row is affine in them
+    a, s = sp.symbols("a s")
+    xs = sp.Rational(x.numerator, x.denominator)
+    m0, m1, m2 = (_cleared_moment(r, -(p + 1), xs, p) for r in range(3))
+    b0, b1 = (_cleared_beta(a, s, xs, r, -(p - 1), p) for r in range(2))
+    square = sp.Poly((1 - c ** 2) ** 2, c)
+    D = (m1 ** 2 - m0 * m2).exquo(square)
+    P1 = (2 * (b0 * m1 - m0 * b1)).exquo(square)
+    P2 = (2 * (m1 * b1 - b0 * m2)).exquo(square)
+    assert D.as_expr().free_symbols == {c}
+    for row in (P1, P2):
+        assert sp.Poly(row.as_expr(), a, s).total_degree() == 1
+
+    # the library's tables at (a, s) = (a_i, 2(1-g2_i)/k_i); the fourth point
+    # is 3 Q_1 - Q_2 - Q_3
+    points = [(F(7, 3), 2, 3), (F(-5), 0, 1), (F(1, 2), 1, 1), (F(23, 2), 3, 1)]
+    tables = [profile_table(make_setup(d=p - 4, a=ai, genus_g2=g2, degree_k=k, x=x))
+              for ai, g2, k in points]
+    assert [(t.setup.a, t.setup.s) for t in tables] == [
+        (F(7, 3), F(-2, 3)), (F(-5), F(2)), (F(1, 2), F(0)), (F(23, 2), F(-4))]
+    for t in tables:
+        at = {a: sp.Rational(t.setup.a.numerator, t.setup.a.denominator),
+              s: sp.Rational(t.setup.s.numerator, t.setup.s.denominator)}
+        assert _sym(t.D) == D
+        assert (_sym(t.P1), _sym(t.P2)) == tuple(sp.Poly(row.as_expr().subs(at), c)
+                                                 for row in (P1, P2))
+    first, second, third, fourth = ((t.D, t.P1, t.P2) + t.P for t in tables)
+    assert fourth[0] == first[0]
+    for row in range(1, len(fourth)):
+        assert fourth[row] == 3 * first[row] - second[row] - third[row]
