@@ -60,7 +60,7 @@ def build_parser():
 
     p_profile = sub.add_parser("profile", help="solve one ray's profile")
     _add_setup_flags(p_profile)
-    p_profile.add_argument("--c", type=_rational, required=True)
+    p_profile.add_argument("--c", type=_rational, required=True, help="ray coordinate in (-1,1), rational")
     p_profile.add_argument("--out", help="JSON output path (default: stdout)")
 
     p_scan = sub.add_parser("scan", help="classify the whole c-line")
@@ -76,28 +76,35 @@ def build_parser():
 
     p_roots = sub.add_parser("csc-roots", help="isolate roots of the cscS condition")
     _add_setup_flags(p_roots)
-    p_roots.add_argument("--width", type=_rational, default=Fraction(1, 10 ** 6))
-    p_roots.add_argument("--out")
+    p_roots.add_argument("--width", type=_rational, default=Fraction(1, 10 ** 6),
+                         help="root bracket width, any positive rational (default 1/10^6)")
+    p_roots.add_argument("--out", help="JSON output path (default: stdout)")
 
     p_twins = sub.add_parser("twins", help="find rays sharing one profile")
     _add_setup_flags(p_twins)
-    p_twins.add_argument("--c", type=_rational, required=True)
-    p_twins.add_argument("--out")
+    p_twins.add_argument("--c", type=_rational, required=True, help="ray coordinate in (-1,1), rational")
+    p_twins.add_argument("--out", help="JSON output path (default: stdout)")
 
     p_toric = sub.add_parser("toric", help="toric csc candidate check")
-    p_toric.add_argument("--n", type=int, required=True)
-    p_toric.add_argument("--lambda", type=_rational, required=True, dest="lam")
-    p_toric.add_argument("--l", type=int, required=True)
-    p_toric.add_argument("--out")
+    p_toric.add_argument("--n", type=int, required=True, help="simplex dimension, at least 2")
+    p_toric.add_argument("--lambda", type=_rational, required=True, dest="lam",
+                         help="constant term of the potential, a positive rational")
+    p_toric.add_argument("--l", type=int, required=True,
+                         help="number of equal components, 1 <= l < n")
+    p_toric.add_argument("--out", help="JSON output path (default: stdout)")
 
     p_join = sub.add_parser("join", help="join smoothness and cone arithmetic")
-    p_join.add_argument("--l1", type=int, required=True)
-    p_join.add_argument("--l2", type=int, required=True)
-    p_join.add_argument("--order1", type=int, default=1)
-    p_join.add_argument("--order2", type=int, default=1)
-    p_join.add_argument("--dim1", type=int)
-    p_join.add_argument("--dim2", type=int)
-    p_join.add_argument("--out")
+    p_join.add_argument("--l1", type=int, required=True,
+                        help="first join weight, a positive integer coprime to l2")
+    p_join.add_argument("--l2", type=int, required=True, help="second join weight")
+    p_join.add_argument("--order1", type=int, default=1,
+                        help="first factor's largest orbifold order (default 1)")
+    p_join.add_argument("--order2", type=int, default=1,
+                        help="second factor's largest orbifold order (default 1)")
+    p_join.add_argument("--dim1", type=int,
+                        help="first factor's Sasaki cone dimension, given with --dim2")
+    p_join.add_argument("--dim2", type=int, help="second factor's Sasaki cone dimension")
+    p_join.add_argument("--out", help="JSON output path (default: stdout)")
 
     p_rep = sub.add_parser("reproduce", help="re-derive all frozen results")
     p_rep.add_argument("--out-dir", default="reproduce-out", dest="out_dir")

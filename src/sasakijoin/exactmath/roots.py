@@ -3,9 +3,11 @@
 Everything here is exact.  isolate_roots is the one path from a polynomial to
 its certified roots: it divides out roots at the interval ends, brackets each
 remaining root strictly inside the open interval by a RootInterval certified
-"exact" (a Sturm count over the bracket equals 1), and pins the root to a
-rational value that exact evaluation confirms, or proves it irrational by the
-rational root theorem.
+"exact" (a Sturm count over the bracket equals 1), refines a bracket holding
+one root to the requested width by quadratic interval refinement, which lands
+on the bracket bisection reaches, and pins the root to a rational value that
+exact evaluation confirms, or proves it irrational by the rational root
+theorem.
 
 A polynomial argument is a UniPoly or an IntPoly, and the work is on an
 IntPoly, the primitive integer multiple of a UniPoly: the one Sturm sequence is
@@ -145,16 +147,43 @@ def isolate_roots(p, lo, hi, width):
     (w itself when the term is a constant) is sf, the squarefree part of w up
     to a nonzero factor, which changes sign across each of its roots.  The
     factor may be negative, since the last term's sign is not fixed, but every
-    sign test here (bisection, the nudge off a root, identify_rational_root)
-    compares two signs of sf, so the result does not depend on it.
+    sign test here (bisection, the nudge off a root, the refinement's check,
+    identify_rational_root) compares two signs of sf, so the result does not
+    depend on it.
 
-    The bisection runs on integers.  Each bracket is (a/d, b/d), two integer
-    numerators over one shared denominator d > 0: a split point a + (b-a) t/u
-    is (a u + (b-a) t)/(d u), and the bracket moves to the denominator d u.
-    Signs and Sturm variations are read at n/m without reducing it, since
-    m^deg q(n/m) has the sign of q(n/m) for every m > 0 (IntPoly.homogeneous).
-    The width test and the comparisons with lo and hi are cross-multiplied,
-    and Fractions are built only for the returned ends.
+    The brackets are those of bisection: a bracket with more than one root is
+    split at its midpoint, or nudged off a root of sf to the offsets k/(2k+1),
+    and a bracket with one root is halved to the side where sf changes sign
+    until it is at most width wide.  The bisection runs on integers.  Each
+    bracket is (a/d, b/d), two integer numerators over one shared denominator
+    d > 0: a split point a + (b-a) t/u is (a u + (b-a) t)/(d u), and the
+    bracket moves to the denominator d u.  Signs and Sturm variations are read
+    at n/m without reducing it, since m^deg q(n/m) has the sign of q(n/m) for
+    every m > 0 (IntPoly.homogeneous).  The width test and the comparisons
+    with lo and hi are cross-multiplied, and Fractions are built only for the
+    returned ends.
+
+    A one-root bracket reaches its width by quadratic interval refinement
+    (Abbott, "Quadratic interval refinement for real roots", ISSAC 2006),
+    which lands on the bracket bisection reaches in fewer evaluations.  sf
+    is nonzero at both ends of the bracket (lo and hi are no roots of w, and
+    every split point is off the roots of sf) and has one simple root inside,
+    so fa and fb, its values at a/d and b/d both scaled by d^deg sf, have
+    opposite signs, and the secant through them meets zero at the fraction
+    fa/(fa-fb) of the bracket, strictly between 0 and 1.  The bracket is cut
+    into 2^e equal parts, and part i = floor(2^e fa/(fa-fb)), in [0, 2^e-1],
+    is guessed to hold the root.  The guess is confirmed when sf is nonzero
+    at both ends of the part with the signs of fa and fb; then the root lies
+    strictly inside the part.  A confirmed part is exactly e steps of
+    bisection: each midpoint of the first e halvings is a point of the grid
+    (a 2^e + j (b-a))/(d 2^e), so it is not strictly inside the part and not
+    the root, no nudge fires, and the sign of sf there keeps the half that
+    holds the root and so the part; after e halvings the bracket is the
+    part, with the same numerators.  e is capped at the number of halvings
+    after which the width test passes, so bisection would not stop inside
+    the jump.  A confirmed guess doubles e; otherwise one bisection step is
+    taken and e halves, down to 1, where the step is plain bisection and e
+    goes back to 2.
     """
     lo, hi, w, chain = _prepare(p, lo, hi, "isolation")
     width = Fraction(width)
@@ -163,19 +192,42 @@ def isolate_roots(p, lo, hi, width):
     g = chain[-1]
     # a primitive divisor of w over Q divides it over Z (Gauss's lemma)
     sf = w.exact_div(g.primitive()) if g.degree >= 1 else w
+    n = sf.degree
     # lo = a0/d0 and hi = b0/d0; every bracket below is (a/d, b/d), d > 0
     d0 = math.lcm(lo.denominator, hi.denominator)
     a0, b0 = lo.numerator * (d0 // lo.denominator), hi.numerator * (d0 // hi.denominator)
     wn, wd = width.numerator, width.denominator
     out = []
-    # (a, b, d, Sturm variations at a/d and b/d, sf(a/d) scaled); the left
-    # half is refined first and the right one waits on the stack, so roots
-    # come out in order
+    # (a, b, d, Sturm variations at a/d and b/d, sf at a/d and b/d scaled by
+    # d^n); the left half is refined first and the right one waits on the
+    # stack, so roots come out in order
     stack = [(a0, b0, d0, _variations(chain, a0, d0), _variations(chain, b0, d0),
-              sf.homogeneous(a0, d0))]
+              sf.homogeneous(a0, d0), sf.homogeneous(b0, d0))]
     while stack:
-        a, b, d, va, vb, fa = stack.pop()
+        a, b, d, va, vb, fa, fb = stack.pop()
+        e = 2
         while va - vb > 1 or (va - vb == 1 and (b - a) * wd > wn * d):
+            if va - vb == 1:
+                # bisection stops after j more halvings, the least j with
+                # (b-a) wd <= wn d 2^j: guess no deeper
+                x, y = (b - a) * wd, wn * d
+                j = x.bit_length() - y.bit_length()
+                e = min(e, j + (y << j < x))
+            if va - vb == 1 and e > 1:
+                # part i of 2^e by the secant, confirmed by sf's signs at its
+                # ends; an end of the bracket keeps its value, rescaled
+                i, span = (fa << e) // (fa - fb), b - a
+                m, d2 = (a << e) + i * span, d << e
+                fm = sf.homogeneous(m, d2) if i else fa << e * n
+                if fm and (fm > 0) == (fa > 0):
+                    fr = (sf.homogeneous(m + span, d2) if i + 1 < 1 << e
+                          else fb << e * n)
+                    if fr and (fr > 0) == (fb > 0):
+                        a, b, d, fa, fb, e = m, m + span, d2, fm, fr, 2 * e
+                        continue
+                e //= 2
+            else:
+                e = 2
             # split at a + (b-a) t/u: the midpoint, or nudged off a root of sf
             # to the offsets k/(2k+1), which are all distinct
             t, u, k = 1, 2, 3
@@ -184,16 +236,18 @@ def isolate_roots(p, lo, hi, width):
                 t, u, k = k, 2 * k + 1, k + 1
                 fm = sf.homogeneous(a * u + (b - a) * t, d * u)
             a, b, d, m = a * u, b * u, d * u, a * u + (b - a) * t
+            # the kept end values move to the denominator d u
+            fa, fb = fa * u ** n, fb * u ** n
             if va - vb == 1:
                 # one simple root, and sf(a) != 0: the sign of sf(m) decides
                 if (fm > 0) == (fa > 0):
                     a, fa = m, fm
                 else:
-                    b = m
+                    b, fb = m, fm
             else:
                 vm = _variations(chain, m, d)
-                stack.append((m, b, d, vm, vb, fm))
-                b, vb = m, vm
+                stack.append((m, b, d, vm, vb, fm, fb))
+                b, vb, fb = m, vm, fm
         if va - vb != 1:
             continue
         # a bracket of a coarse width can still end at lo or hi

@@ -75,7 +75,8 @@ def test_csc_roots_command(capsys):
 
 
 def test_csc_roots_at_tiny_width(capsys):
-    # each bracket takes about 1100 bisections; no recursion limit applies
+    # each bracket is about 1100 halvings deep, reached in a few dozen
+    # refinement steps; no recursion limit applies
     width = F(1, 2 ** 1100)
     code, out, _ = run_cli(capsys, ["csc-roots", "--d", "1", "--a", "1",
                                     "--g2", "1", "--k", "1", "--x", "1/2",
@@ -137,6 +138,14 @@ def test_join_command(capsys):
     # one ray's profile and verdicts: a non-extremal and an extremal cscS ray
     ("profile_no_csc_c_2_5", ["profile", *NO_CSC_FLAGS, "--c", "2/5"]),
     ("profile_positive_example_c_1_8", ["profile", *POSITIVE_FLAGS, "--c", "1/8"]),
+    # deep widths: the root 1/2 is a bisection midpoint, so the nudge fires;
+    # the root 1/8; three irrational roots
+    ("csc_roots_twin_pair_width_2_256",
+     ["csc-roots", *TWIN_PAIR_FLAGS, "--width", f"1/{2 ** 256}"]),
+    ("csc_roots_positive_example_width_2_256",
+     ["csc-roots", *POSITIVE_FLAGS, "--width", f"1/{2 ** 256}"]),
+    ("csc_roots_three_roots_p7_width_2_512",
+     ["csc-roots", *P7_THREE_ROOTS_FLAGS, "--width", f"1/{2 ** 512}"]),
 ])
 def test_coarse_width_documents_are_golden(capsys, name, args):
     # brackets wider than the cone still come back inside (-1, 1), and full

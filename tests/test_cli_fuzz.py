@@ -2,10 +2,11 @@
 subcommands ends in exit 0 with a document, or in exit 1 with a message on
 the last line of stderr, and never in a traceback.
 
-Inputs stay cheap: heights up to about 10^40, d <= 2, grid_n <= 64 and widths
-of at least 2^-64, next to values outside each domain (d = 0, x outside
-(0, 1), |c| >= 1, width <= 0, grid_n outside [8, 4096], boundary_width below
-2^-256).  Output paths lie in a temporary directory.
+Inputs stay cheap: heights up to about 10^40, d <= 2, grid_n <= 64, boundary
+widths of at least 2^-64 and csc-roots widths of at least 2^-4096, next to
+values outside each domain (d = 0, x outside (0, 1), |c| >= 1, width <= 0,
+grid_n outside [8, 4096], boundary_width below 2^-256).  Output paths lie in a
+temporary directory.
 """
 
 import contextlib
@@ -43,6 +44,9 @@ def outside(lo):
 # rationals of at least 2^-64, and their complement
 POSITIVE = st.builds(Fraction, st.integers(1, HEIGHT), st.integers(1, 2 ** 64))
 NOT_POSITIVE = st.builds(Fraction, st.integers(-HEIGHT, 0), st.integers(1, HEIGHT))
+# csc-roots widths of at least 2^-4096
+WIDTHS = st.builds(Fraction, st.integers(1, HEIGHT),
+                   st.one_of(st.integers(1, 2 ** 64), st.integers(1, 2 ** 4096)))
 # (values in the domain, values outside it or None) of each flag of the
 # setup subcommands
 FLAGS = {
@@ -57,7 +61,7 @@ FLAGS = {
     "--boundary-width": (POSITIVE, st.builds(lambda n, m: Fraction(n, 2 ** 256 + m),
                                             st.integers(-HEIGHT, 1),
                                             st.integers(1, HEIGHT))),
-    "--width": (POSITIVE, NOT_POSITIVE),
+    "--width": (WIDTHS, NOT_POSITIVE),
 }
 SETUP = ["--d", "--a", "--g2", "--k", "--x"]
 # each subcommand's flags, required first, then optional ones

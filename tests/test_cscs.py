@@ -324,6 +324,25 @@ def test_bisection_builds_no_fraction(monkeypatch):
     assert ivs and counts[0] == counts[1]
 
 
+def test_refinement_evaluation_ceilings(monkeypatch):
+    """Integer sign evaluations in csc_roots for one irrational root: the
+    one-root refinement jumps many halvings per confirmed guess, so 1/10^4000
+    costs a few more than 2^-64 (bisection made 84 and 13,308)."""
+    setup = make_setup(d=1, a=3, genus_g2=2, degree_k=1, x=F(1, 2))
+    calls, homogeneous = [0], IntPoly.homogeneous
+
+    def counted(self, n, m=None):
+        calls[0] += 1
+        return homogeneous(self, n, m)
+
+    monkeypatch.setattr(IntPoly, "homogeneous", counted)
+    for width, ceiling in ((F(1, 2 ** 64), 45), (F(1, 10 ** 4000), 80)):
+        calls[0] = 0
+        (root,) = csc_roots(setup, width)
+        assert root.width <= width and root.exact_value is None
+        assert calls[0] <= ceiling, (width, calls[0])
+
+
 def test_csc_roots_rejects_nonpositive_width():
     with pytest.raises(DomainError):
         csc_roots(setup_no_csc(), 0)

@@ -477,7 +477,8 @@ _thirds = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 @contextlib.contextmanager
 def _evaluation_budget(limit):
-    """Fail, rather than hang, once IntPoly evaluations pass limit."""
+    """Fail, rather than hang, once IntPoly evaluations pass limit; yields a
+    one-item list holding the count."""
     homogeneous, calls = IntPoly.homogeneous, [0]
 
     def counted(self, n, m=None):
@@ -487,21 +488,32 @@ def _evaluation_budget(limit):
 
     IntPoly.homogeneous = counted
     try:
-        yield
+        yield calls
     finally:
         IntPoly.homogeneous = homogeneous
 
 
+# coarse widths, and deep ones where refinement jumps and falls back
+_widths = st.one_of(
+    st.fractions(min_value=F(1, 50), max_value=3, max_denominator=50),
+    st.integers(6, 300).map(lambda e: F(1, 2 ** e)),
+    st.tuples(st.integers(1, 8), st.integers(6, 300)).map(
+        lambda je: F(je[0], 3 * 2 ** je[1])))
+
+
 @settings(max_examples=60)
-@given(_int_products, _thirds, _thirds,
-       st.fractions(min_value=F(1, 50), max_value=3, max_denominator=50))
+@given(_int_products, _thirds, _thirds, _widths)
 def test_integer_bisection_matches_the_fraction_reference(p, lo, hi, width):
     if lo == hi:
         return
     lo, hi = min(lo, hi), max(lo, hi)
-    with _evaluation_budget(100_000):
+    with _evaluation_budget(100_000) as calls:
         ivs = isolate_roots(p, lo, hi, width)
-    assert ivs == fraction_isolate_roots(p, lo, hi, width)
+    with _evaluation_budget(100_000) as reference_calls:
+        assert ivs == fraction_isolate_roots(p, lo, hi, width)
+    # a failed guess wastes at most two evaluations and halves e, so the
+    # refinement stays within twice bisection's (plus sf at hi)
+    assert calls[0] <= 2 * reference_calls[0] + 4
 
 
 def test_isolation_nudges_off_a_root_at_the_first_midpoint():
