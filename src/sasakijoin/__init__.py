@@ -31,7 +31,6 @@ from .errors import (
 )
 from .exactmath import (
     MultiPoly,
-    Rational,
     RootInterval,
     UniPoly,
     exact_divide,
@@ -94,7 +93,6 @@ __all__ = [
     "WrongWeight",
     "ZeroPolynomial",
     "MultiPoly",
-    "Rational",
     "RootInterval",
     "UniPoly",
     "exact_divide",

@@ -10,9 +10,11 @@ rows over Z[c] (_cone_rows), the whole-cone certificate's input.
 
 A scan builds the setup's certified profile table once and reads each ray
 it probes, c = n/m, off one integer row evaluation (ProfileTable.rows_at),
-with no per-ray profile.  At a grid ray that gives F = P/D (profile.rows_F),
-the cscS verdict m P1 == n P2 in ints (profile.rows_cscS, as cscS_check for
-a profile) and the slope (m-n)/(m+n) (slope).
+with no per-ray profile.  At a grid ray that gives F = P/D (profile.rows_F)
+and the cscS verdict m P1 == n P2 in ints (profile.rows_cscS, as cscS_check
+for a profile); render reads its slope (m-n)/(m+n) off c (slope).
+A report stores only what the scan decides: its connectivity is read from
+whole_cone_boxes and a cscS root's contested label from genuine.
 
 When the Bernstein coefficients of H prove H > 0 on the closed square
 [-1, 1]^2 (exactmath.certify_positive, in at most 16 boxes), every ray is
@@ -71,12 +73,15 @@ class CscRayEntry:
     """One root of the cscS condition, labeled by extremality at the root.
 
     genuine is None when the isolating interval straddles an extremality
-    boundary (contested is then True and the verdict is left open).
+    boundary: the root is contested and the verdict is left open.
     """
 
     root: object  # RootInterval
     genuine: Optional[bool]
-    contested: bool
+
+    @property
+    def contested(self):
+        return self.genuine is None
 
 
 @dataclass(frozen=True)
@@ -86,11 +91,14 @@ class ConeScanReport:
     extremal_intervals: tuple
     moats: tuple
     csc_rays: tuple
-    slope_map: tuple
     boundary_width: Fraction
-    connectivity: str
     # boxes of the whole-cone certificate; None when it did not hold
     whole_cone_boxes: Optional[int]
+
+    @property
+    def connectivity(self):
+        """"proven" iff the whole-cone certificate held, "sampled" if not."""
+        return "sampled" if self.whole_cone_boxes is None else "proven"
 
 
 def _over_one_minus_z2(P):
@@ -191,7 +199,7 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
         probes = (root.lo, root.hi) if root.exact_value is None else (root.exact_value,)
         verdicts = {extremal_at(c) for c in probes}
         genuine = verdicts.pop() if len(verdicts) == 1 else None
-        entries.append(CscRayEntry(root=root, genuine=genuine, contested=genuine is None))
+        entries.append(CscRayEntry(root=root, genuine=genuine))
 
     return ConeScanReport(
         setup=setup,
@@ -199,8 +207,6 @@ def scan(setup, grid_n=33, boundary_width=Fraction(1, 2048)):
         extremal_intervals=tuple(region for flag, region in regions if flag),
         moats=tuple(region for flag, region in regions if not flag),
         csc_rays=tuple(entries),
-        slope_map=tuple((c, slope(c)) for c in grid),
         boundary_width=boundary_width,
-        connectivity="proven" if proven else "sampled",
         whole_cone_boxes=boxes,
     )

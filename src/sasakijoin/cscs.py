@@ -173,7 +173,4 @@ def csc_roots(setup, width):
     (-1, 1); exact_value holds the root when it is rational, and None proves
     it irrational.
     """
-    width = Fraction(width)
-    if width <= 0:
-        raise DomainError("width must be positive")
     return isolate_roots(condition_numerator(setup), -1, 1, width)

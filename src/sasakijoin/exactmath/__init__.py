@@ -1,7 +1,7 @@
 """Exact arithmetic layer: rationals, polynomials, quadrature, linear solving, roots,
 Bernstein positivity certificates."""
 
-from .rationals import Rational, parse_rational, format_rational, decimal_str
+from .rationals import parse_rational, format_rational, decimal_str
 from .unipoly import UniPoly, exact_divide, poly_gcd, squarefree_part
 from .intpoly import IntPoly
 from .multipoly import MultiPoly
@@ -18,7 +18,6 @@ from .roots import (
 from .bernstein import certify_positive
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "format_rational",
     "decimal_str",

@@ -1,8 +1,8 @@
 """Exact rational scalars and their text forms.
 
-Rational is fractions.Fraction: always lowest terms, positive denominator,
-arbitrary precision.  Decimals never enter a computation; they exist only as a
-display rendering next to the exact string.
+Every rational is a fractions.Fraction: always lowest terms, positive
+denominator, arbitrary precision.  Decimals never enter a computation; they
+exist only as a display rendering next to the exact string.
 """
 
 import re
@@ -11,12 +11,10 @@ from fractions import Fraction
 
 from ..errors import DomainError
 
-Rational = Fraction
-
 
 def parse_rational(text):
     """Parse "p/q" or an integer string, -?[0-9]+(/[0-9]+)? once stripped,
-    into a Rational.  Decimals are rejected: silent precision loss is worse
+    into a Fraction.  Decimals are rejected: silent precision loss is worse
     than an error.  So are "+", digit separators and non-ASCII digits, and
     integers longer than the int->str digit limit (sys.get_int_max_str_digits),
     with a DomainError that names the limit."""
@@ -64,7 +62,7 @@ def _int_str(n):
 
 
 def format_rational(value):
-    """Render a Rational or an int as "p/q", or "p" when the denominator is 1,
+    """Render a Fraction or an int as "p/q", or "p" when the denominator is 1,
     with every digit however long p and q are."""
     n, d = value.numerator, value.denominator
     if d == 1:
@@ -73,7 +71,7 @@ def format_rational(value):
 
 
 def decimal_str(value):
-    """Display-only decimal of a Rational or an int: repr of the nearest
+    """Display-only decimal of a Fraction or an int: repr of the nearest
     double under round-to-nearest, the correctly rounded p / q, so "inf" or
     "-inf" past the largest finite double."""
     n, d = value.numerator, value.denominator

@@ -3,10 +3,10 @@
 Everything here is exact.  isolate_roots is the one path from a polynomial to
 its certified roots: it divides out roots at the interval ends, brackets each
 remaining root strictly inside the open interval by a RootInterval certified
-"exact" (a Sturm count over the bracket equals 1), refines a bracket holding
-one root to the requested width by quadratic interval refinement, which lands
-on the bracket bisection reaches, and pins the root to a rational value that
-exact evaluation confirms, or proves it irrational by the rational root
+by a Sturm count of 1 over the bracket, refines a bracket holding one root to
+the requested width by quadratic interval refinement, which lands on the
+bracket bisection reaches, and pins the root to a rational value that exact
+evaluation confirms, or proves it irrational by the rational root
 theorem.
 
 A polynomial argument is a UniPoly or an IntPoly, and the work is on an
@@ -27,16 +27,13 @@ from .intpoly import IntPoly
 
 @dataclass(frozen=True)
 class RootInterval:
-    """Open interval (lo, hi) certified to contain exactly one root.
-
-    multiplicity_note records the certificate, "exact": a Sturm count of 1.
-    exact_value is the root when it is rational; on an interval from
-    isolate_roots, None proves the root irrational.
+    """Open interval (lo, hi) certified to contain exactly one root by a
+    Sturm count of 1.  exact_value is the root when it is rational; on an
+    interval from isolate_roots, None proves the root irrational.
     """
 
     lo: Fraction
     hi: Fraction
-    multiplicity_note: str
     exact_value: Optional[Fraction] = None
 
     def __post_init__(self):
@@ -44,8 +41,6 @@ class RootInterval:
         object.__setattr__(self, "hi", Fraction(self.hi))
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.multiplicity_note != "exact":
-            raise DomainError(f"unknown certificate {self.multiplicity_note!r}")
         if self.exact_value is not None:
             object.__setattr__(self, "exact_value", Fraction(self.exact_value))
 
@@ -135,10 +130,10 @@ def isolate_roots(p, lo, hi, width):
     """Every root of p in the open interval (lo, hi), isolated and identified.
 
     Each RootInterval holds exactly one root of p that is not lo or hi,
-    certified by a Sturm count of 1 (multiplicity_note "exact"); it is at most
-    width wide and lies strictly inside (lo, hi), so both its ends are points
-    of the open interval.  exact_value holds the root when it is rational, and
-    None proves it irrational.  Returned in increasing order.
+    certified by a Sturm count of 1; it is at most width wide and lies
+    strictly inside (lo, hi), so both its ends are points of the open
+    interval.  exact_value holds the root when it is rational, and None
+    proves it irrational.  Returned in increasing order.
 
     One Sturm sequence is built, on w, p as an IntPoly less its roots at lo
     and hi, as in sturm_count_roots: its variation counts are numbers of
@@ -185,10 +180,10 @@ def isolate_roots(p, lo, hi, width):
     taken and e halves, down to 1, where the step is plain bisection and e
     goes back to 2.
     """
-    lo, hi, w, chain = _prepare(p, lo, hi, "isolation")
     width = Fraction(width)
     if width <= 0:
         raise DomainError("width must be positive")
+    lo, hi, w, chain = _prepare(p, lo, hi, "isolation")
     g = chain[-1]
     # a primitive divisor of w over Q divides it over Z (Gauss's lemma)
     sf = w.exact_div(g.primitive()) if g.degree >= 1 else w
@@ -265,8 +260,7 @@ def isolate_roots(p, lo, hi, width):
             else:
                 b = m
         a, b = Fraction(a, d), Fraction(b, d)
-        out.append(RootInterval(a, b, "exact",
-                                exact_value=identify_rational_root(sf, a, b)))
+        out.append(RootInterval(a, b, identify_rational_root(sf, a, b)))
     return out
 
 

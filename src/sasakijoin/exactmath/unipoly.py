@@ -6,7 +6,6 @@ coefficient is nonzero unless the polynomial is zero (empty tuple).
 
 from fractions import Fraction
 
-from ..errors import InexactDivision
 from .intpoly import IntPoly
 
 
@@ -132,24 +131,6 @@ class UniPoly:
             acc = acc * t + c
         return acc
 
-    def __divmod__(self, other):
-        """Exact polynomial long division: (quotient, remainder)."""
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        while len(rem) >= len(other.coeffs) and rem:
-            f = rem[-1] / other.leading
-            d = len(rem) - len(other.coeffs)
-            q[d] = f
-            for j, b in enumerate(other.coeffs):
-                rem[d + j] -= f * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly(q), UniPoly(rem)
-
 
 def _coerce(v):
     if isinstance(v, UniPoly):
@@ -160,13 +141,20 @@ def _coerce(v):
 
 
 def exact_divide(num, den):
-    """Quotient q with num = q * den exactly; InexactDivision otherwise."""
+    """Quotient q with num = q * den exactly; InexactDivision otherwise.
+
+    By Gauss's lemma den divides num over Q iff the primitive integer multiple
+    of den divides that of num over Z (IntPoly.exact_div); the quotient is
+    rescaled by the ratio num.leading lc(d) / (den.leading lc(n)) of the two
+    positive factors.
+    """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    q, r = divmod(num, den)
-    if r:
-        raise InexactDivision(f"remainder {r!r} dividing {num!r} by {den!r}")
-    return q
+    if not num:
+        return UniPoly()
+    n, d = IntPoly.from_unipoly(num), IntPoly.from_unipoly(den)
+    scale = num.leading * d.coeffs[-1] / (den.leading * n.coeffs[-1])
+    return UniPoly(scale * v for v in n.exact_div(d).coeffs)
 
 
 def poly_gcd(a, b):

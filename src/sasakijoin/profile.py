@@ -59,7 +59,6 @@ class ExtremalProfile:
     F: UniPoly
     A1: Fraction
     A2: Fraction
-    p: int
     rows: tuple = field(compare=False, repr=False)
 
 
@@ -195,9 +194,10 @@ def _endpoint_solve(side, n, m):
     (a, s), and affinely.  So v_0 is free of (a, s), each other v_i, linear
     in column 0, is affine in them, and so is G, run from (v_1, v_2) on the
     sources v_0 (1-part) + v_3 (A1-part) + v_4 (A2-part); the rows are these
-    times factors in p and m.  So for fixed (p, x) every table's D (rows
-    times scale, profile_table) is one polynomial in c, and P1, P2 and each
-    P_k are affine in (a, s), coefficient by coefficient.
+    times factors in p and m.  So for fixed (p, x), at a common scale free
+    of (a, s) (the tests take the moments'), every table's D is one
+    polynomial in c, and P1, P2 and each P_k are affine in (a, s),
+    coefficient by coefficient.
 
     Majorant.  Every step is a ring operation with int constants, so the
     run on n = _Norm(1), m = 1 gives, for each row, a majorant of the 1-norm
@@ -269,11 +269,11 @@ def rows_cscS(c, rows):
     return c.denominator * rows[1] == c.numerator * rows[2]
 
 
-def _read(c, p, rows):
+def _read(c, rows):
     """The ExtremalProfile at c of integer rows (D, P1, P2, P_0..P_p)."""
     D, P1, P2 = rows[:3]
     return ExtremalProfile(c=c, F=rows_F(rows), A1=Fraction(P1, D), A2=Fraction(P2, D),
-                           p=p, rows=tuple(rows))
+                           rows=tuple(rows))
 
 
 def compute_profile(setup, c):
@@ -289,7 +289,7 @@ def compute_profile(setup, c):
     content = _content(rows[0], rows)
     rows = [row // content for row in rows]
     _certify(side, c.numerator, c.denominator, rows, f"profile at c={c}")
-    return _read(c, setup.p, rows)
+    return _read(c, rows)
 
 
 def solve_A(setup, c):
@@ -326,18 +326,14 @@ class ProfileTable:
     D is a nonzero multiple of the endpoint determinant, so D(c) != 0 there
     (module docstring), and divided by D(c) they are the ODE and the endpoint
     conditions for F = P(., c)/D(c) with (A1, A2) = (P1, P2)/D, which fix F
-    uniquely.  D, P1, P2 and P are UniPolys built on demand, the rows times
-    scale, which carries D's sign (the tests pin profile_table's D to
-    (1-c^2)^(2p-2) times minus the determinant of the Gram matrix of the
-    module docstring).  A ray c = n/m costs one dot product with
-    n^j m^(N-j) per row, N the largest degree (rows_at), and every verdict
-    on it reads those ints.
+    uniquely.  A ray c = n/m costs one dot product with n^j m^(N-j) per
+    row, N the largest degree (rows_at), and every verdict on it reads those
+    ints.
     """
 
-    def __init__(self, setup, rows, scale=1):
+    def __init__(self, setup, rows):
         self.setup = setup
         self.rows = tuple(rows)
-        self._scale = Fraction(scale)
         self._degree = max(row.degree for row in self.rows)
         side = _right_side(setup.p, setup.a, setup.s, setup.x)
         norms = [_Norm(sum(map(abs, row.coeffs))) for row in self.rows]
@@ -345,14 +341,6 @@ class ProfileTable:
         bits = bound.bit_length() + 1
         _certify(side, 1 << bits, 1, [row.pack(bits) for row in self.rows],
                  f"profile table for p={setup.p}")
-
-    def _field(self, i):
-        return UniPoly(self._scale * v for v in self.rows[i].coeffs)
-
-    D = property(lambda self: self._field(0))
-    P1 = property(lambda self: self._field(1))
-    P2 = property(lambda self: self._field(2))
-    P = property(lambda self: tuple(map(self._field, range(3, len(self.rows)))))
 
     def rows_at(self, c):
         """The table's rows (D, P1, P2, P_0..P_p) at the ray c = n/m in lowest
@@ -372,13 +360,9 @@ def profile_table(setup):
     every coefficient of its rows over Z[c] by M, and at the one integer
     point n = 2^B, B = bitlength(M) + 1.  Each row's value there is read
     back as balanced base-2^B digits (IntPoly.unpack), which are its
-    coefficients as they lie below 2^(B-1) in absolute value.  With the
-    endpoint conditions unscaled, the 4x4 determinant in the unknowns
-    (F_0, F_1, A1, A2) is -D, the Cramer numerators of A1 and A2 are -P1 and
-    -P2, and P_k = D F_k.  The solve's unknowns are (H_0, H_1) =
-    L Q (F_0, F_1/p) and its conditions are times L Q, so its rows are D,
-    P1, P2 and P times p (L Q)^3; divided by _content at c = 0, the table's
-    scale is content / (p (L Q)^3).  No degree bound is assumed.
+    coefficients as they lie below 2^(B-1) in absolute value.  The rows are
+    divided by their content, signed by _content at c = 0.  No degree bound
+    is assumed.
     """
     if not isinstance(setup, ProductSetup):
         raise DomainError("profile_table needs a ProductSetup")
@@ -386,9 +370,7 @@ def profile_table(setup):
     bits = max(map(abs, _endpoint_solve(side, _Norm(1), 1))).bit_length() + 1
     rows = [IntPoly.unpack(value, bits) for value in _endpoint_solve(side, 1 << bits, 1)]
     content = _content(rows[0].coeffs[0], [v for row in rows for v in row.coeffs])
-    LQ = side[0] * _clearing(setup.p)[1]
-    return ProfileTable(setup, [IntPoly(v // content for v in row.coeffs) for row in rows],
-                        Fraction(content, setup.p * LQ ** 3))
+    return ProfileTable(setup, [IntPoly(v // content for v in row.coeffs) for row in rows])
 
 
 def cscS_check(profile):

@@ -6,7 +6,8 @@ rational string and a display-only decimal, the repr of the nearest double
 ("inf" or "-inf" past the largest finite one).  The text is that of
 json.dumps(doc, indent=2, sort_keys=True) with each Fraction replaced by its
 number field, byte for byte.  No timestamps appear anywhere, so identical
-inputs give identical text.
+inputs give identical text.  A root's "certificate" is the constant "exact",
+and a scan's slope_map is read off each ray's c.
 """
 
 import os
@@ -32,7 +33,8 @@ def root_field(root):
     return {
         "lo": root.lo,
         "hi": root.hi,
-        "certificate": root.multiplicity_note,
+        # every RootInterval is certified by a Sturm count of 1
+        "certificate": "exact",
         "exact_value": root.exact_value,
     }
 
@@ -113,7 +115,7 @@ def scan_document(report):
             }
             for entry in report.csc_rays
         ],
-        "slope_map": [{"c": c, "slope": m} for c, m in report.slope_map],
+        "slope_map": [{"c": r.c, "slope": slope(r.c)} for r in report.rays],
     })
     return doc
 
@@ -341,9 +343,9 @@ def scan_svg(report):
     parts.append(_line((0.0, 0.0), (0.0, _SIDE), edge_style))
     parts.append(_line((0.0, 0.0), (_SIDE, 0.0), edge_style))
     # sampled rays
-    for (c, m), ray in zip(report.slope_map, report.rays):
+    for ray in report.rays:
         color = "#5588cc" if ray.extremal else "#bbbbbb"
-        parts.append(_line((0.0, 0.0), _edge_point(m),
+        parts.append(_line((0.0, 0.0), _edge_point(slope(ray.c)),
                            f'stroke="{color}" stroke-width="0.6"'))
     # cscS rays on top, labeled
     for entry in report.csc_rays:

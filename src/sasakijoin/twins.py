@@ -113,7 +113,7 @@ def find_profile_twins(setup, c):
 def cp1_profile(k_scal, c):
     """Closed-form profile data for the weight-4 sphere-bundle case.
 
-    Returns {"H": UniPoly, "A": Rational, "B": Rational}, the profile of the
+    Returns {"H": UniPoly, "A": Fraction, "B": Fraction}, the profile of the
     p = 4 ODE with right-hand side k(1+cz)^2 - Az - B and the endpoint
     conditions of x = 0.  That is the profile ODE at p = 4, x = 0 and
     a = k/2, s = 0 (so s0 = k, s1 = 0) with (A1, A2) = (A, B), so the closed

@@ -54,7 +54,26 @@ def digit_limit(limit):
 def profile_at(table, c):
     """The profile of the ray at parameter c, read off a ProfileTable's rows."""
     c = Fraction(c)
-    return _read(c, table.setup.p, table.rows_at(c))
+    return _read(c, table.rows_at(c))
+
+
+def poly_divmod(num, den):
+    """(quotient, remainder) of num by den by long division over Q, the
+    reference for IntPoly.prem; the library divides only exactly, over Z
+    (exact_divide)."""
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(num.coeffs)
+    q = [Fraction(0)] * max(len(rem) - len(den.coeffs) + 1, 0)
+    while len(rem) >= len(den.coeffs) and rem:
+        f = rem[-1] / den.leading
+        d = len(rem) - len(den.coeffs)
+        q[d] = f
+        for j, b in enumerate(den.coeffs):
+            rem[d + j] -= f * b
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return UniPoly(q), UniPoly(rem)
 
 
 def setup_of(argv):
@@ -259,8 +278,7 @@ def fraction_isolate_roots(p, lo, hi, width):
                 a, fa = m, fm
             else:
                 b = m
-        out.append(RootInterval(a, b, "exact",
-                                exact_value=identify_rational_root(sf, a, b)))
+        out.append(RootInterval(a, b, identify_rational_root(sf, a, b)))
     return out
 
 
@@ -305,7 +323,7 @@ def reconstruct_weighted_scal(profile, setup):
     Assembles (1+xz) * Scal_{f,p} from the three curvature components and
     divides by (1+xz) exactly; the result is affine and must equal A1 z + A2.
     """
-    c, F, p, x = profile.c, profile.F, profile.p, setup.x
+    c, F, p, x = profile.c, profile.F, setup.p, setup.x
     z = UniPoly.variable()
     f = c * z + 1
     scal_piece = 2 * setup.a * (1 + x * z) + 2 * setup.s * x - F.derivative().derivative()

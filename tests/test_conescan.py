@@ -23,6 +23,7 @@ from sasakijoin import (
 )
 import sasakijoin.cli as cli
 import sasakijoin.conescan as conescan
+import sasakijoin.render as render
 from sasakijoin.conescan import rows_extremal
 from sasakijoin.errors import DomainError
 from support import (
@@ -164,7 +165,10 @@ def test_scan_rays_match_single_ray_classification():
     for setup in setups:
         report = scan(setup, grid_n=33)
         assert len(report.rays) == 33
-        for ray, (c, m) in zip(report.rays, report.slope_map):
+        slope_map = render.scan_document(report)["slope_map"]
+        assert len(slope_map) == 33
+        for ray, entry in zip(report.rays, slope_map):
+            c, m = entry["c"], entry["slope"]
             prof = compute_profile(setup, ray.c)
             assert ray == classify_ray(setup, ray.c)
             assert ray.F == prof.F
@@ -262,7 +266,8 @@ def test_scan_refinement_is_monotone():
             assert flags[ray.c] == (ray.extremal, ray.cscS)
     assert shared == 9
     for report in (coarse, fine):
-        pairs = report.slope_map
+        pairs = [(e["c"], e["slope"]) for e in render.scan_document(report)["slope_map"]]
+        assert [c for c, _ in pairs] == [ray.c for ray in report.rays]
         assert [c for c, _ in pairs] == sorted(c for c, _ in pairs)
         assert all(s1 > s2 for (_, s1), (_, s2) in zip(pairs, pairs[1:]))
 
@@ -398,5 +403,4 @@ def test_the_proof_changes_no_verdict(monkeypatch):
         assert report.connectivity == "proven"
         sampled = scan(setup, grid_n=16)
         assert sampled.connectivity == "sampled"
-        assert dataclasses.replace(report, connectivity="sampled",
-                                   whole_cone_boxes=None) == sampled
+        assert dataclasses.replace(report, whole_cone_boxes=None) == sampled

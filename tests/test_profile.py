@@ -237,7 +237,7 @@ def test_table_matches_compute_profile():
     for p in range(5, 10):
         setup = random_setup(rng, d=p - 4)
         table = profile_table(setup)
-        assert table.D.degree == 2 * p - 6
+        assert table.rows[0].degree == 2 * p - 6
         for c in (F(0), near_one, -near_one, random_c(rng), random_c(rng, 2 ** 11)):
             _assert_table_matches(table, setup, c)
 
@@ -265,7 +265,13 @@ def test_table_matches_cleared_moment_cramer(p, x):
     setup = make_setup(d=p - 4, a=random_rational(rng), genus_g2=rng.randint(0, 6),
                        degree_k=rng.randint(1, 6), x=x)
     table = profile_table(setup)
-    assert (table.D, table.P1, table.P2) == cleared_moment_cramer(setup)
+    D, P1, P2 = cleared_moment_cramer(setup)
+    # the one rational lam with lam times the D row equal to the moment D,
+    # negative as the rows carry D > 0 (F6)
+    rows = [UniPoly(row.coeffs) for row in table.rows[:3]]
+    lam = D.leading / rows[0].leading
+    assert lam * rows[0] == D and lam < 0
+    assert (lam * rows[1], lam * rows[2]) == (P1, P2)
 
 
 def test_table_at_d10_matches_compute_profile():
@@ -585,5 +591,5 @@ def test_profile_record_fields():
     setup = setup_positive_example()
     prof = compute_profile(setup, F(1, 8))
     assert prof.c == F(1, 8)
-    assert prof.p == setup.p == 5
+    assert len(prof.rows) == setup.p + 4 == 9
     assert isinstance(prof.A1, Fraction) and isinstance(prof.A2, Fraction)

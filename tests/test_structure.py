@@ -3,8 +3,10 @@
 For each setup the profile is one bivariate table F(z; c) = P(z, c)/D(c),
 with deg_z P = p, deg_c P <= 2p-6 and D of degree 2p-6 without a root in
 [-1, 1].  Here sympy derives the moment polynomials, D and the Cramer
-numerators P1, P2 on its own, and re-checks the ODE and the endpoint
-conditions on the library's table.  It also builds the cscS numerator N from
+numerators P1, P2 on its own, finds the one rational lam < 0 with lam times
+the library's D row equal to that D (F6: the rows carry D > 0, and the
+moment D is negative), and re-checks the ODE and the endpoint conditions on
+the library's rows times lam.  It also builds the cscS numerator N from
 its own cleared V~ and S~ (F7), and checks that condition_numerator returns
 that N, that the table carries it, P1 - c P2 = 2(1-c^2) N (F10), and its end
 values N(+-1) = +-K_p (1-+x)^2 (F2).  That D never vanishes inside the cone is
@@ -35,6 +37,15 @@ def _sym(poly):
     """A library UniPoly in c as a sympy Poly."""
     return sp.Poly(sum((sp.Rational(q.numerator, q.denominator) * c ** i
                         for i, q in enumerate(poly.coeffs)), sp.Integer(0)), c)
+
+
+def _moment_rows(table, D):
+    """The table's rows times the one rational lam with lam rows[0] = D, the
+    moment D, as sympy Polys in c; lam < 0, as the rows carry D > 0."""
+    row = _sym(table.rows[0])
+    lam = D.LC() / row.LC()
+    assert row * lam == D and lam < 0
+    return [_sym(r) * lam for r in table.rows]
 
 
 def _cleared_moment(r, q, x, k):
@@ -72,11 +83,12 @@ def test_profile_table_structure(p, x):
     D = (m1 ** 2 - m0 * m2).exquo(square)
     P1 = (2 * (b0 * m1 - m0 * b1)).exquo(square)
     P2 = (2 * (m1 * b1 - b0 * m2)).exquo(square)
-    assert (_sym(table.D), _sym(table.P1), _sym(table.P2)) == (D, P1, P2)
+    rows = _moment_rows(table, D)
+    assert rows[1:3] == [P1, P2]
     assert D.degree() == 2 * p - 6
     assert D.count_roots(-1, 1) == 0
 
-    P = sp.Poly(sum(_sym(Pk).as_expr() * z ** k for k, Pk in enumerate(table.P)), z, c)
+    P = sp.Poly(sum(Pk.as_expr() * z ** k for k, Pk in enumerate(rows[3:])), z, c)
     assert P.degree(z) == p
     assert P.degree(c) <= 2 * p - 6
 
@@ -131,13 +143,12 @@ def test_the_table_is_affine_in_a_and_s(p, x):
               for ai, g2, k in points]
     assert [(t.setup.a, t.setup.s) for t in tables] == [
         (F(7, 3), F(-2, 3)), (F(-5), F(2)), (F(1, 2), F(0)), (F(23, 2), F(-4))]
-    for t in tables:
+    scaled = [_moment_rows(t, D) for t in tables]
+    for t, rows in zip(tables, scaled):
         at = {a: sp.Rational(t.setup.a.numerator, t.setup.a.denominator),
               s: sp.Rational(t.setup.s.numerator, t.setup.s.denominator)}
-        assert _sym(t.D) == D
-        assert (_sym(t.P1), _sym(t.P2)) == tuple(sp.Poly(row.as_expr().subs(at), c)
-                                                 for row in (P1, P2))
-    first, second, third, fourth = ((t.D, t.P1, t.P2) + t.P for t in tables)
+        assert rows[1:3] == [sp.Poly(row.as_expr().subs(at), c) for row in (P1, P2)]
+    first, second, third, fourth = scaled
     assert fourth[0] == first[0]
     for row in range(1, len(fourth)):
         assert fourth[row] == 3 * first[row] - second[row] - third[row]
