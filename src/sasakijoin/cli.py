@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 configuration error (bad flags or parameter values),
-2 computation error, 3 reproduction-suite mismatch.  All file outputs are
-written atomically and are byte-identical for identical configurations.
+2 computation error, 3 reproduction-suite mismatch.  Every output is rendered
+in full before anything is written; then each file is written atomically,
+and stdout last.  So a run that exits 1 or 2 prints nothing on stdout,
+though a file written before a failed write stays.  Outputs are
+byte-identical for identical configurations.
 """
 
 import argparse
@@ -116,13 +119,6 @@ def build_parser():
 _PARSER = build_parser()
 
 
-def _emit(text, path):
-    if path:
-        render.write_atomic(path, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _setup_from_args(args):
     return make_setup(d=args.d, a=args.a, genus_g2=args.g2,
                       degree_k=args.k, x=args.x)
@@ -133,42 +129,38 @@ def _run_profile(args):
     prof = compute_profile(setup, args.c)
     doc = render.profile_document(setup, prof, rows_extremal(prof.rows),
                                   cscS_check(prof), csc_condition(setup, args.c))
-    _emit(render.dump_json(doc), args.out)
-    return 0
+    return 0, [(args.out, render.dump_json(doc))]
 
 
 def _run_scan(args):
     setup = _setup_from_args(args)
     report = scan(setup, grid_n=args.grid_n,
                   boundary_width=args.boundary_width)
-    _emit(render.dump_json(render.scan_document(report)), args.out)
+    outputs = [(args.out, render.dump_json(render.scan_document(report)))]
     if args.csv:
-        render.write_atomic(args.csv, render.scan_csv(report))
+        outputs.append((args.csv, render.scan_csv(report)))
     if args.svg:
-        render.write_atomic(args.svg, render.scan_svg(report))
-    return 0
+        outputs.append((args.svg, render.scan_svg(report)))
+    return 0, outputs
 
 
 def _run_csc_roots(args):
     setup = _setup_from_args(args)
     roots = csc_roots(setup, args.width)
     doc = render.roots_document(setup, args.width, roots)
-    _emit(render.dump_json(doc), args.out)
-    return 0
+    return 0, [(args.out, render.dump_json(doc))]
 
 
 def _run_twins(args):
     setup = _setup_from_args(args)
     report = find_profile_twins(setup, args.c)
-    _emit(render.dump_json(render.twins_document(setup, report)), args.out)
-    return 0
+    return 0, [(args.out, render.dump_json(render.twins_document(setup, report)))]
 
 
 def _run_toric(args):
     result = toric_csc_solutions(args.n, args.lam, args.l)
     doc = render.toric_document(args.n, args.lam, args.l, result)
-    _emit(render.dump_json(doc), args.out)
-    return 0
+    return 0, [(args.out, render.dump_json(doc))]
 
 
 def _run_join(args):
@@ -181,15 +173,14 @@ def _run_join(args):
         dims = (args.dim1, args.dim2, cone_dim(args.dim1, args.dim2))
     doc = render.join_document(spec, join_is_smooth(spec),
                                join_vectors(spec.l1, spec.l2), dims)
-    _emit(render.dump_json(doc), args.out)
-    return 0
+    return 0, [(args.out, render.dump_json(doc))]
 
 
 def _run_reproduce(args):
     ok, results = reproduce.run(args.out_dir)
-    for result in results:
-        sys.stdout.write(f"{'PASS' if result['ok'] else 'FAIL'}  {result['name']}\n")
-    return 0 if ok else 3
+    lines = "".join(f"{'PASS' if result['ok'] else 'FAIL'}  {result['name']}\n"
+                    for result in results)
+    return (0 if ok else 3), [(None, lines)]
 
 
 _DISPATCH = {
@@ -203,20 +194,24 @@ _DISPATCH = {
 }
 
 
-def run(args):
-    """Dispatch parsed arguments; DomainError exits 1, other failures 2."""
+def main(argv=None):
+    """Run argv's subcommand, write its files and then stdout, and return
+    the exit status: a DomainError exits 1, an ArithmeticError or
+    RuntimeError 2, each with one line on stderr."""
+    args = _PARSER.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        status, outputs = _DISPATCH[args.command](args)
+        for path, text in outputs:
+            if path:
+                render.write_atomic(path, text)
+        sys.stdout.write("".join(text for path, text in outputs if not path))
+        return status
     except DomainError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 1
     except (ArithmeticError, RuntimeError) as exc:
         sys.stderr.write(f"computation error: {exc}\n")
         return 2
-
-
-def main(argv=None):
-    return run(_PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -134,16 +134,7 @@ def twins_document(setup, report):
 
 def toric_document(n, lam, l, result):
     doc = _document("toric")
-    doc.update({
-        "n": n,
-        "lambda": lam,
-        "l": l,
-        "solutions": [
-            {"v": sol["v"], "admissible": sol["admissible"]}
-            for sol in result["solutions"]
-        ],
-        "any_admissible": result["any_admissible"],
-    })
+    doc.update({"n": n, "lambda": lam, "l": l, **result})
     return doc
 
 
@@ -155,11 +146,7 @@ def join_document(spec, smooth, vectors, dims=None):
         "order1": spec.order1,
         "order2": spec.order2,
         "smooth": smooth,
-        "vectors": {
-            "reeb": vectors["reeb"],
-            "lvec": vectors["lvec"],
-            "contact": list(vectors["contact"]),
-        },
+        "vectors": vectors,
     })
     if dims is not None:
         dim1, dim2, total = dims

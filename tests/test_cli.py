@@ -239,16 +239,20 @@ def test_written_files_get_the_mode_of_a_plain_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("target", [["a-file", "x.json"], ["a-dir", ""]])
 def test_unwritable_out_path_exits_one(capsys, tmp_path, target):
-    # a path under a plain file, and a directory given as the output file
+    # a path under a plain file, and a directory given as the output file; a
+    # scan whose --csv or --svg fails prints no document on stdout either
     (tmp_path / "a-file").write_text("")
     (tmp_path / "a-dir").mkdir()
     path = os.path.join(str(tmp_path), *target)
-    code, out, err = run_cli(capsys, ["join", "--l1", "1", "--l2", "2", "--out", path])
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"configuration error: cannot write {path}: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not list(tmp_path.rglob(".tmp-out-*"))
+    scan = ["scan", *NO_CSC_FLAGS, "--grid-n", "8"]
+    for args in (["join", "--l1", "1", "--l2", "2", "--out"], scan + ["--out"],
+                 scan + ["--csv"], scan + ["--svg"]):
+        code, out, err = run_cli(capsys, args + [path])
+        assert code == 1, args
+        assert out == "", args
+        assert err.startswith(f"configuration error: cannot write {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.rglob(".tmp-out-*"))
 
 
 def test_symlinked_out_path_writes_through_the_link(capsys, tmp_path):
@@ -429,6 +433,18 @@ def test_reproduce_mismatch_exits_three(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, ["reproduce", "--out-dir", str(tmp_path)])
     assert code == 3
     assert "FAIL" in out
+
+
+def test_reproduce_to_an_unwritable_directory_exits_one(capsys, tmp_path):
+    (tmp_path / "a-file").write_text("")
+    out_dir = str(tmp_path / "a-file" / "out")
+    code, out, err = run_cli(capsys, ["reproduce", "--out-dir", out_dir])
+    assert code == 1
+    assert out == ""
+    path = os.path.join(out_dir, "reproduce.json")
+    assert err.startswith(f"configuration error: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.rglob(".tmp-out-*"))
 
 
 def test_reproduce_command(capsys, tmp_path):

@@ -5,8 +5,10 @@ the last line of stderr, and never in a traceback.
 Inputs stay cheap: heights up to about 10^40, d <= 2, grid_n <= 64, boundary
 widths of at least 2^-64 and csc-roots widths of at least 2^-4096, next to
 values outside each domain (d = 0, x outside (0, 1), |c| >= 1, width <= 0,
-grid_n outside [8, 4096], boundary_width below 2^-256).  Output paths lie in a
-temporary directory.
+grid_n outside [8, 4096], boundary_width below 2^-256).  Each output flag
+writes to a fresh file in a temporary directory, to a path under a plain
+file, or to an existing directory; a run with an unwritable output exits 1
+and leaves neither a document on stdout nor a temporary file.
 """
 
 import contextlib
@@ -64,6 +66,8 @@ FLAGS = {
     "--width": (WIDTHS, NOT_POSITIVE),
 }
 SETUP = ["--d", "--a", "--g2", "--k", "--x"]
+# where an output flag writes; only the first can be written
+PATH_KINDS = ("fresh", "under a plain file", "a directory")
 # each subcommand's flags, required first, then optional ones
 COMMANDS = {
     "profile": (SETUP + ["--c"], []),
@@ -75,10 +79,10 @@ COMMANDS = {
 
 @st.composite
 def command_lines(draw):
-    """(subcommand, argv without output paths, output flags to add)."""
+    """(subcommand, argv without output paths, {output flag: path kind})."""
     command = draw(st.sampled_from(["profile", "scan", "csc-roots", "twins", "toric",
                                     "join"]))
-    outputs = ["--out"] if draw(st.booleans()) else []
+    flags_out = ["--out"] if draw(st.booleans()) else []
     if command in COMMANDS:
         required, optional = COMMANDS[command]
         flags = required + [flag for flag in optional if draw(st.booleans())]
@@ -88,7 +92,7 @@ def command_lines(draw):
         args = [part for flag in flags
                 for part in (flag, draw(FLAGS[flag][flag == wrong]))]
         if command == "scan":
-            outputs += [flag for flag in ("--csv", "--svg") if draw(st.booleans())]
+            flags_out += [flag for flag in ("--csv", "--svg") if draw(st.booleans())]
     elif command == "toric":
         n = draw(st.one_of(st.integers(2, 50), st.integers(2, HEIGHT)))
         wrong = draw(st.sampled_from([None, "--n", "--lambda", "--l"]))
@@ -108,6 +112,7 @@ def command_lines(draw):
         if draw(st.booleans()) or wrong == "--dim1":
             args += ["--dim1", draw(st.integers(1, 50))]
             args += [] if wrong == "--dim1" else ["--dim2", draw(st.integers(1, 50))]
+    outputs = {flag: draw(st.sampled_from(PATH_KINDS)) for flag in flags_out}
     return command, [str(arg) for arg in args], outputs
 
 
@@ -125,18 +130,29 @@ def _run(argv):
 @given(command_lines())
 # a cscS root within 2^-1024 of c = -1: its slope is past the largest double
 @example(("scan", ["--d", "1", "--a", str(HUGE), "--g2", "0", "--k", "1", "--x", "1/2"],
-          ["--svg"]))
+          {"--svg": "fresh"}))
+# the document is rendered before the CSV file fails to be written
+@example(("scan", ["--d", "1", "--a", "3", "--g2", "2", "--k", "1", "--x", "1/2"],
+          {"--csv": "under a plain file"}))
 def test_every_fuzzed_command_line_exits_zero_or_one(line):
     command, args, outputs = line
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {flag: Path(tmp) / f"output{flag}" for flag in outputs}
+        root = Path(tmp)
+        (root / "a-file").write_text("")
+        (root / "a-dir").mkdir()
+        paths = {flag: {"fresh": root / f"output{flag}",
+                        "under a plain file": root / "a-file" / f"output{flag}",
+                        "a directory": root / "a-dir"}[kind]
+                 for flag, kind in outputs.items()}
         argv = [command, *args, *(part for flag, path in paths.items()
                                   for part in (flag, str(path)))]
         code, out, err = _run(argv)
         assert code in (0, 1), (argv, err)
         assert "Traceback" not in err
+        assert not list(root.rglob(".tmp-out-*"))
         if code == 0:
             assert err == ""
+            assert set(outputs.values()) <= {"fresh"}
             text = paths["--out"].read_text() if "--out" in paths else out
             assert out == ("" if "--out" in paths else text)
             assert json.loads(text)["command"] == command
