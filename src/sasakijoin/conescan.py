@@ -29,7 +29,10 @@ boundary_width, and a cscS root is labelled by the verdict at its exact
 value, or at both ends of its bracket.
 Regions are reported with bracket endpoints, since the exact boundary between
 certified sample points is not decided, and a moat between two samples would
-go unseen: connectivity is "sampled", not proven.
+go unseen: connectivity is "sampled", not proven.  Nor is a change beyond the
+outermost rays c = +-(grid_n-1)/(grid_n+1), +-16/17 at the default 33: the
+cone's ends are never probed, and the end regions are reported as reaching
+-1 and 1.
 """
 
 from dataclasses import dataclass
@@ -61,7 +64,8 @@ class ConeInterval:
     region is the whole cone (-1, 1).  When it is "sampled", every sample
     ray in (left.hi, right.lo) has the region's verdict, but a change between
     two samples is not ruled out, so the region is not proven to contain
-    (left.hi, right.lo) nor to be contained in (left.lo, right.hi).
+    (left.hi, right.lo) nor to be contained in (left.lo, right.hi).  Nor is
+    a change beyond the outermost samples, c = +-(grid_n-1)/(grid_n+1).
     """
 
     left: Tuple[Fraction, Fraction]

@@ -17,6 +17,9 @@ def integrate_weighted_monomial(r, q, c, x):
 
     r: small nonnegative integer; q: integer; |c| < 1 so ct+1 > 0 on [-1,1].
     Raises LogarithmicTerm when the u = ct+1 expansion hits a u^(-1) term.
+
+    No library code calls it; it stays only because perfbench/tracer.py times
+    it, until ROADMAP item 3 deletes it after item 1c.
     """
     if r < 0 or int(r) != r:
         raise DomainError(f"r must be a nonnegative integer, got {r!r}")

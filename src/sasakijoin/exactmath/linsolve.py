@@ -16,6 +16,9 @@ def solve_exact(rows, rhs):
     same length as rows.  Overdetermined systems are fine as long as they are
     consistent.  Raises SingularSystem when rank < n (no unique solution) and
     InconsistentSystem when no solution exists at all.
+
+    No library code calls it; it stays only because perfbench/tracer.py times
+    it, until ROADMAP item 3 deletes it after item 1c.
     """
     if not rows:
         raise SingularSystem("empty system")

@@ -265,7 +265,11 @@ def isolate_roots(p, lo, hi, width):
 
 
 def simplest_rational_in(lo, hi):
-    """The rational with the smallest denominator in the closed interval [lo, hi]."""
+    """The rational with the smallest denominator in the closed interval [lo, hi].
+
+    Only its own recursion calls it; it stays only because perfbench/tracer.py
+    times it, until ROADMAP item 3 deletes it after item 1c.
+    """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         lo, hi = hi, lo

@@ -161,6 +161,9 @@ def poly_gcd(a, b):
     """Monic gcd: the last term of IntPoly.remainder_sequence on the
     primitive integer multiples of a and b, a multiple of the gcd over Q,
     made monic here (the zero polynomial when a and b are both zero).
+
+    Only squarefree_part, itself uncalled, calls it; it stays only because
+    perfbench/tracer.py times it, until ROADMAP item 3 deletes it after item 1c.
     """
     g = IntPoly.from_unipoly(a).remainder_sequence(IntPoly.from_unipoly(b))[-1]
     lc = g.coeffs[-1] if g else 1
@@ -168,7 +171,11 @@ def poly_gcd(a, b):
 
 
 def squarefree_part(p):
-    """p divided by gcd(p, p'); shares exactly the distinct roots of p."""
+    """p divided by gcd(p, p'); shares exactly the distinct roots of p.
+
+    No library code calls it; it stays only because perfbench/tracer.py times
+    it, until ROADMAP item 3 deletes it after item 1c.
+    """
     g = poly_gcd(p, p.derivative())
     if g.degree <= 0:
         return p

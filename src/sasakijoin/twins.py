@@ -4,9 +4,9 @@ Three settings are covered.  Profile twins on the general family are found by
 coefficient matching: demanding that the base profile F also solves the ODE
 at a different parameter c' leaves quadratics in c' over Z, read off
 profile._ode_map, and the partners are the rational roots of their gcd.  The
-p = 4 sphere-times-surface case has closed forms.  The toric product case is
-checked by exact multivariate polynomial expansion of the weighted scalar
-curvature over the standard simplex.
+p = 4 sphere-times-surface case has closed forms.  The weighted scalar
+curvature of the toric product case over the standard simplex is a closed
+form in the potential's coefficients.
 """
 
 from dataclasses import dataclass
@@ -174,25 +174,23 @@ class ToricPotential:
                               f"(vertex values {values})")
 
 
-def _inverse_hessian(n):
-    """Inverse-Hessian entries H_ij = 2 delta_ij l_i - 2 l_i l_j/(n+1)."""
-    ls = [MultiPoly.constant(n, 1) + MultiPoly.variable(n, i) for i in range(n)]
-    H = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            entry = -2 * ls[i] * ls[j] * Fraction(1, n + 1)
-            if i == j:
-                entry = entry + 2 * ls[i]
-            H[i][j] = entry
-    return H
-
-
 def toric_weighted_scal(d, n, p, scal1, pot):
     """Weighted scalar curvature of the product metric, fully expanded.
 
-    scal1 is the constant scalar curvature of the dimension-d first factor;
-    the projective-space factor contributes the constant 2n.  Two standard
-    identities of the inverse Hessian are asserted along the way.
+    scal1 is the constant scalar curvature of the dimension-d first factor.
+    With H_ij = 2 delta_ij l_i - 2 l_i l_j/(n+1), l_i = 1 + x_i, the inverse
+    Hessian of the simplex, the result is (scal1 + 2n) f^2 - 2(p-1) f Lf
+    - p(p-1) sum_ij v_i v_j H_ij, where 2n = -sum_ij d_i d_j H_ij is the
+    projective factor's curvature and Lf = -sum_ij d_i(H_ij v_j) = 2u by
+    -sum_i d_i H_ik = 2 x_k.  Put u = <v, x>, sigma = sum v_i, tau = sum v_i^2,
+    w = sum v_i^2 x_i, s = scal1 + 2n and k = p(p-1).  Then sum_ij v_i v_j H_ij
+    = 2 tau + 2 w - 2 (sigma + u)^2/(n+1), and with f = u + lam the result is
+    A u^2 + B u + C - 2k w, for
+        A = s - 4(p-1) + 2k/(n+1) = scal1 - 2(2-m)(m-1)/(n+1), m = p - n,
+        B = 2 lam (s - 2(p-1)) + 4k sigma/(n+1),
+        C = s lam^2 - 2k tau + 2k sigma^2/(n+1).
+    u^2 is a nonzero quadratic form for v != 0 and w is affine, so the result
+    is affine for every v iff A = 0, iff scal1 is the value of twin_weights.
     """
     if not (isinstance(d, int) and d >= 0):
         raise DomainError(f"d must be an integer >= 0, got {d!r}")
@@ -202,36 +200,20 @@ def toric_weighted_scal(d, n, p, scal1, pot):
         raise DomainError(f"p must be an integer, got {p!r}")
     if not isinstance(pot, ToricPotential) or pot.n != n:
         raise DomainError("pot must be a ToricPotential with matching n")
-    scal1 = Fraction(scal1)
-    H = _inverse_hessian(n)
-
-    fs_scal = MultiPoly.constant(n, 0)
-    for i in range(n):
-        for j in range(n):
-            fs_scal = fs_scal - H[i][j].diff(i).diff(j)
-    if fs_scal != MultiPoly.constant(n, 2 * n):
-        raise InternalInconsistency("inverse Hessian fails the scalar identity")
-    laplacians = []
-    for k in range(n):
-        lap = MultiPoly.constant(n, 0)
-        for i in range(n):
-            lap = lap - H[i][k].diff(i)
-        if lap != 2 * MultiPoly.variable(n, k):
-            raise InternalInconsistency("inverse Hessian fails the Laplacian identity")
-        laplacians.append(lap)
-
-    f = MultiPoly.constant(n, pot.lam)
-    for i, vi in enumerate(pot.v):
-        f = f + vi * MultiPoly.variable(n, i)
-    lap_f = MultiPoly.constant(n, 0)
-    for vi, lap in zip(pot.v, laplacians):
-        lap_f = lap_f + vi * lap
-    grad2 = MultiPoly.constant(n, 0)
-    for i in range(n):
-        for j in range(n):
-            grad2 = grad2 + pot.v[i] * pot.v[j] * H[i][j]
-
-    return (scal1 + 2 * n) * f * f - 2 * (p - 1) * f * lap_f - p * (p - 1) * grad2
+    s = Fraction(scal1) + 2 * n
+    k = p * (p - 1)
+    v, lam = pot.v, pot.lam
+    sigma = sum(v)
+    A = s - 4 * (p - 1) + Fraction(2 * k, n + 1)
+    B = 2 * lam * (s - 2 * (p - 1)) + 4 * k * sigma / (n + 1)
+    C = s * lam * lam - 2 * k * sum(vi * vi for vi in v) + 2 * k * sigma * sigma / (n + 1)
+    terms = {(0,) * n: C}
+    for i, vi in enumerate(v):
+        terms[tuple(int(l == i) for l in range(n))] = (B - 2 * k * vi) * vi
+        for j in range(i, n):
+            exps = tuple((l == i) + (l == j) for l in range(n))
+            terms[exps] = (1 + (i != j)) * A * vi * v[j]
+    return MultiPoly(n, terms)
 
 
 def twin_weights(d, n):

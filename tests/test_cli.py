@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import shutil
 import stat
 import subprocess
@@ -34,6 +35,7 @@ P7_THREE_ROOTS_FLAGS = ["--d", "3", "--a", "45", "--g2", "11", "--k", "3",
                         "--x", "7/9"]
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, args):
@@ -345,6 +347,32 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as err:
         cli.main(["--help"])
     assert err.value.code == 0
+
+
+def _readme_examples():
+    """Every `sasakijoin ...` line of README's sh blocks, continuation lines
+    joined, as argv without the program name."""
+    examples, block = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if block is None:
+            if line.strip() == "```sh":
+                block = ""
+        elif line.strip() == "```":
+            examples += [shlex.split(cmd)[1:] for cmd in block.splitlines()
+                         if cmd.startswith("sasakijoin ")]
+            block = None
+        else:
+            block += line[:-1] if line.endswith("\\") else line + "\n"
+    return examples
+
+
+def test_every_readme_example_exits_zero(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert {argv[0] for argv in examples} == set(cli._DISPATCH)
+    for argv in examples:
+        code, _, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
 
 
 # -- failure paths -----------------------------------------------------------------

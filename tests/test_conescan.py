@@ -155,6 +155,25 @@ def test_scan_separated_moat_structure():
     assert moat.right[1] < rays[2].root.lo
 
 
+def test_a_sampled_scan_does_not_see_past_its_outermost_rays():
+    # this setup turns non-extremal between c = -99/100 and -999/1000, beyond
+    # the outermost grid ray -16/17 of the default grid, so the sampled scan
+    # reports one extremal region reaching both ends of the cone and no moat;
+    # a scan that covers the ends has to find a moat there
+    setup = make_setup(2, F(-67, 6), 6, 4, F(1, 2))
+    report = scan(setup)
+    assert report.connectivity == "sampled"
+    assert report.whole_cone_boxes is None
+    assert report.moats == ()
+    (region,) = report.extremal_intervals
+    assert (region.left, region.right) == ((F(-1), F(-1)), (F(1), F(1)))
+    ends = (report.rays[0], report.rays[-1])
+    assert [ray.c for ray in ends] == [F(-16, 17), F(16, 17)]
+    assert all(ray.extremal for ray in ends)
+    assert not classify_ray(setup, F(-999, 1000)).extremal
+    assert classify_ray(setup, F(-99, 100)).extremal
+
+
 def test_scan_rays_match_single_ray_classification():
     # scan reads every ray off one profile table; classify_ray solves each
     rng = random.Random(67)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 import sympy
@@ -345,7 +345,7 @@ def test_toric_affinity_at_twin_weights():
 def test_toric_trivial_potential_gives_constant():
     pot = ToricPotential(v=(F(0), F(0)), lam=F(3), n=2)
     out = toric_weighted_scal(1, 2, 5, F(-4, 3), pot)
-    assert out == MultiPoly.constant(2, (F(-4, 3) + 4) * 9)
+    assert out == MultiPoly(2, {(0, 0): (F(-4, 3) + 4) * 9})
 
 
 def test_toric_weighted_scal_matches_hand_expansion_on_the_segment():
@@ -360,6 +360,97 @@ def test_toric_weighted_scal_matches_hand_expansion_on_the_segment():
         want = ((scal1 + 2) * f * f - 2 * (p - 1) * f * UniPoly((0, 2 * v))
                 - p * (p - 1) * v * v * ONE_MINUS_Z2)
         assert UniPoly([out.coefficient((i,)) for i in range(3)]) == want
+
+
+def _simplex_inverse_hessian(n):
+    """sympy's H_ij = 2 delta_ij l_i - 2 l_i l_j/(n+1), l_i = 1 + x_i."""
+    xs = sympy.symbols(f"x0:{n}")
+    ls = [1 + xi for xi in xs]
+    H = sympy.Matrix(n, n, lambda i, j: (2 * ls[i] if i == j else 0)
+                     - sympy.Rational(2, n + 1) * ls[i] * ls[j])
+    return xs, H
+
+
+@lru_cache(maxsize=None)
+def _toric_scal_sympy(n):
+    """(scal1 + 2n) f^2 - 2(p-1) f Lf - p(p-1) sum v_i v_j H_ij with
+    f = <v, x> + lam and Lf = -sum_ij d_i(H_ij d_j f), expanded by sympy in
+    the symbols (scal1, p, lam, v); returns them and the Poly in x."""
+    xs, H = _simplex_inverse_hessian(n)
+    scal1, p, lam = sympy.symbols("scal1 p lam")
+    v = sympy.symbols(f"v0:{n}")
+    f = lam + sum(vi * xi for vi, xi in zip(v, xs))
+    lap_f = -sum((H[i, j] * f.diff(xs[j])).diff(xs[i])
+                 for i in range(n) for j in range(n))
+    grad2 = sum(v[i] * v[j] * H[i, j] for i in range(n) for j in range(n))
+    expr = (scal1 + 2 * n) * f ** 2 - 2 * (p - 1) * f * lap_f - p * (p - 1) * grad2
+    return (scal1, p, lam, v), sympy.Poly(sympy.expand(expr), *xs)
+
+
+def _twin_value(n, p):
+    m = p - n
+    return F(2 * (2 - m) * (m - 1), n + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_simplex_inverse_hessian_identities(n):
+    xs, H = _simplex_inverse_hessian(n)
+    # H inverts the Hessian of Guillemin's potential on the simplex
+    # {x_i >= -1, sum x_i <= 1}, (1/2) sum_(i=0..n) l_i log l_i with
+    # l_0 = 1 - sum x_i
+    ls = [1 - sum(xs)] + [1 + xi for xi in xs]
+    u = sum(li * sympy.log(li) for li in ls) / 2
+    hess = sympy.hessian(u, xs)
+    assert all(sympy.expand(sympy.numer(sympy.together(e))) == 0
+               for e in H * hess - sympy.eye(n))
+    for k in range(n):
+        assert sympy.expand(-sum(H[i, k].diff(xs[i]) for i in range(n))) == 2 * xs[k]
+    scal = -sum(H[i, j].diff(xs[i], xs[j]) for i in range(n) for j in range(n))
+    assert sympy.expand(scal) == 2 * n
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_toric_weighted_scal_matches_the_sympy_expansion(n):
+    (scal1, p, lam, v), want = _toric_scal_sympy(n)
+    rng = random.Random(41 + n)
+    for _ in range(6):
+        pot = _random_potential(rng, n)
+        p_num = rng.randint(-3, 12)
+        s1 = F(rng.randint(-20, 20), rng.randint(1, 7))
+        if rng.random() < 0.25:
+            s1 = _twin_value(n, p_num)
+        values = {scal1: sympy.Rational(s1.numerator, s1.denominator), p: p_num,
+                  lam: sympy.Rational(pot.lam.numerator, pot.lam.denominator)}
+        values.update((vi, sympy.Rational(q.numerator, q.denominator))
+                      for vi, q in zip(v, pot.v))
+        terms = {exps: c.xreplace(values) for exps, c in want.as_dict().items()}
+        terms = {exps: F(int(c.p), int(c.q)) for exps, c in terms.items() if c}
+        assert toric_weighted_scal(1, n, p_num, s1, pot).terms == terms
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_toric_affine_for_every_potential_iff_the_twin_value(n):
+    # the part of degree 2 in x is A <v, x>^2 with A = scal1 - 2(2-m)(m-1)/(n+1)
+    # and m = p - n, and there is none of higher degree, so the curvature is
+    # affine for every v iff A = 0
+    (scal1, p, lam, v), expr = _toric_scal_sympy(n)
+    xs = expr.gens
+    assert max(sum(exps) for exps in expr.monoms()) == 2
+    quadratic = sum(c * sympy.prod(x ** e for x, e in zip(xs, exps))
+                    for exps, c in expr.terms() if sum(exps) == 2)
+    m = p - n
+    A = scal1 - 2 * (2 - m) * (m - 1) / (n + 1)
+    u = sum(vi * xi for vi, xi in zip(v, xs))
+    assert sympy.expand(quadratic - A * u ** 2) == 0
+    # the library agrees: affine exactly when A = 0 or v = 0
+    rng = random.Random(n)
+    for _ in range(6):
+        pot = _random_potential(rng, n)
+        p_num = rng.randint(-3, 12)
+        twin = _twin_value(n, p_num)
+        for s1 in (twin, twin + F(rng.randint(1, 5), rng.randint(1, 5))):
+            out = toric_weighted_scal(1, n, p_num, s1, pot)
+            assert out.is_affine() == (s1 == twin or not any(pot.v))
 
 
 def test_scal_versus_weight_parabola():
