@@ -1,18 +1,21 @@
-"""Dense univariate polynomials over the integers.
+"""Dense univariate polynomials: their shared ring arithmetic, and IntPoly.
 
-Coefficients are ints, stored lowest degree first and trimmed as in UniPoly.
-The ring operations +, - and x each also take a plain int, so x by an int is
-int scaling.  On top of them are derivative, content and primitive part, the
-pseudo-remainder with a positive multiplier, the package's one remainder
-sequence (the primitive PRS of Collins and Brown-Traub, read by Sturm chains
-and gcds alike), exact division, the value at 2^bits and its inverse on
-small coefficients (pack and unpack, Kronecker substitution), and
-homogeneous evaluation, whose sign is the sign of the value at a rational
-point, given as a Fraction or as an integer pair n, m > 0 not necessarily in
-lowest terms.  Staying in Z skips the gcd that every Fraction operation
-pays; from_unipoly and UniPoly(poly.coeffs) convert.  The cscS numerator is
-built with IntPolys, root isolation bisects on integer numerators, and the
-profile table is solved at one power of two and unpacked.
+DensePoly writes once the ring operations of IntPoly (over Z) and UniPoly
+(over Q): degree, truth value, equality and hash by coefficients, +, -, x
+and derivative.  Each returns the operand's class and takes a polynomial of
+that class or a scalar of its ring (_scalars; x by one scales); any other
+operand is refused with NotImplemented, so mixing the two raises TypeError.
+IntPoly adds content and primitive part, the pseudo-remainder with a
+positive multiplier, the package's one remainder sequence (the primitive PRS
+of Collins and Brown-Traub, read by Sturm chains and gcds alike), exact
+division, the value at 2^bits and its inverse on small coefficients (pack
+and unpack, Kronecker substitution), and homogeneous evaluation, whose sign
+is the sign of the value at a rational point, given as a Fraction or as an
+integer pair n, m > 0 not necessarily in lowest terms.  Staying in Z skips
+the gcd that every Fraction operation pays; from_unipoly and
+UniPoly(poly.coeffs) convert.  The cscS numerator is built with IntPolys,
+root isolation bisects on integer numerators, and the profile table is
+solved at one power of two and unpacked.
 """
 
 from math import gcd, lcm
@@ -20,10 +23,79 @@ from math import gcd, lcm
 from ..errors import InexactDivision
 
 
-class IntPoly:
-    """Immutable univariate polynomial with int coefficients."""
+class DensePoly:
+    """Immutable polynomial, coefficients lowest degree first and trimmed; a
+    subclass builds them and names its ring's scalars in _scalars."""
 
     __slots__ = ("coeffs",)
+    _scalars = ()
+
+    @property
+    def degree(self):
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def _terms(self, other):
+        """other's coefficients, a scalar's as a constant; None outside the ring."""
+        if type(other) is type(self):
+            return other.coeffs
+        return (other,) if isinstance(other, self._scalars) else None
+
+    def __eq__(self, other):
+        if isinstance(other, self._scalars):
+            other = type(self)((other,))
+        elif type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, self._terms(other)
+        if b is None:
+            return NotImplemented
+        if len(a) < len(b):
+            a, b = b, a
+        return type(self)([u + v for u, v in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)([-u for u in self.coeffs])
+
+    def __sub__(self, other):
+        return NotImplemented if self._terms(other) is None else self + -other
+
+    def __rsub__(self, other):
+        return NotImplemented if self._terms(other) is None else -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return type(self)([u * other for u in self.coeffs])
+        if type(other) is not type(self):
+            return NotImplemented
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, u in enumerate(self.coeffs):
+            if u:
+                for j, v in enumerate(other.coeffs):
+                    out[i + j] += u * v
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+    def derivative(self):
+        return type(self)([i * u for i, u in enumerate(self.coeffs) if i])
+
+
+class IntPoly(DensePoly):
+    """Immutable univariate polynomial with int coefficients."""
+
+    __slots__ = ()
+    _scalars = int
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -37,46 +109,6 @@ class IntPoly:
         its roots and its sign at every point are those of p."""
         den = lcm(*(c.denominator for c in p.coeffs))
         return cls(c.numerator * (den // c.denominator) for c in p.coeffs).primitive()
-
-    @property
-    def degree(self):
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, (other,) if isinstance(other, int) else other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly([u + v for u, v in zip(a, b)] + list(a[len(b):]))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntPoly([-u for u in self.coeffs])
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([u * other for u in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, u in enumerate(self.coeffs):
-            if u:
-                for j, v in enumerate(other.coeffs):
-                    out[i + j] += u * v
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def derivative(self):
-        return IntPoly([i * u for i, u in enumerate(self.coeffs) if i])
 
     def primitive(self):
         """self divided by its content, the positive gcd of its coefficients

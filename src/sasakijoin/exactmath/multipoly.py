@@ -17,13 +17,13 @@ class MultiPoly:
     __slots__ = ("n_vars", "terms")
 
     def __init__(self, n_vars, terms=None):
-        if n_vars < 0:
-            raise DomainError("n_vars must be nonnegative")
+        if not isinstance(n_vars, int) or n_vars < 0:
+            raise DomainError(f"n_vars must be an integer >= 0, got {n_vars!r}")
         self.n_vars = n_vars
         clean = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n_vars or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            if len(exps) != n_vars or not all(isinstance(e, int) and e >= 0 for e in exps):
                 raise DomainError(f"bad exponent vector {exps} for {n_vars} variables")
             c = Fraction(c)
             if c != 0:

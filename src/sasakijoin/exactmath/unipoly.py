@@ -1,18 +1,20 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are stored lowest degree first and trimmed, so the leading
-coefficient is nonzero unless the polynomial is zero (empty tuple).
+UniPoly takes its ring arithmetic (degree, equality, +, -, x, derivative)
+from DensePoly in intpoly, with ints and Fractions as scalars, and adds
+scalar division, powers, evaluation and the coefficient accessors.
 """
 
 from fractions import Fraction
 
-from .intpoly import IntPoly
+from .intpoly import DensePoly, IntPoly
 
 
-class UniPoly:
+class UniPoly(DensePoly):
     """Immutable univariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _scalars = (int, Fraction)
 
     def __init__(self, coeffs=()):
         # a Fraction is kept as given: Fraction(c) would re-wrap it
@@ -34,11 +36,6 @@ class UniPoly:
     # -- structure -------------------------------------------------------------
 
     @property
-    def degree(self):
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
     def leading(self):
         if not self.coeffs:
             return Fraction(0)
@@ -48,19 +45,6 @@ class UniPoly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly((other,))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -72,45 +56,7 @@ class UniPoly:
             parts.append(f"{c}*z^{i}" if i else f"{c}")
         return "UniPoly(" + " + ".join(parts) + ")"
 
-    # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            (self.coefficient(i) + other.coefficient(i)) for i in range(n)
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(c * other for c in self.coeffs)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
+    # -- arithmetic beyond the ring operations -----------------------------------
 
     def __truediv__(self, scalar):
         return UniPoly(c / Fraction(scalar) for c in self.coeffs)
@@ -121,23 +67,12 @@ class UniPoly:
             out = out * self
         return out
 
-    def derivative(self):
-        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i)
-
     def __call__(self, t):
         t = Fraction(t)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-
-def _coerce(v):
-    if isinstance(v, UniPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return UniPoly((v,))
-    return None
 
 
 def exact_divide(num, den):

@@ -219,29 +219,26 @@ def toric_weighted_scal(d, n, p, scal1, pot):
 def twin_weights(d, n):
     """The two weights sharing one first-factor curvature: (n-d+1, d+n+2).
 
-    Returns (p_low, p_high, scal1) with scal1 = -2d(d+1)/(n+1); the general
-    weight formula is asserted to give that same value at both weights.
+    Returns (p_low, p_high, scal1) with scal1 = -2d(d+1)/(n+1), the value
+    2(2-m)(m-1)/(n+1), m = p - n, of toric_weighted_scal at both weights: m =
+    1-d and m = d+2 both give (2-m)(m-1) = -d(d+1).
     """
     if not (isinstance(d, int) and d >= 0):
         raise DomainError(f"d must be an integer >= 0, got {d!r}")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    scal1 = Fraction(-2 * d * (d + 1), n + 1)
-    weights = (n - d + 1, d + n + 2)
-    for p in weights:
-        m = p - n
-        if Fraction(2 * (2 - m) * (m - 1), n + 1) != scal1:
-            raise InternalInconsistency("twin weights disagree with the "
-                                        "general curvature formula")
-    return (weights[0], weights[1], scal1)
+    return (n - d + 1, d + n + 2, Fraction(-2 * d * (d + 1), n + 1))
 
 
 def toric_csc_solutions(n, lam, l):
     """Candidate csc potentials in the equal-components normal form.
 
-    For f = v(x_1 + ... + x_l) + lam the csc equation has nontrivial
-    candidates v = lam/l and v = -lam/(n-l+1); each is tested for strict
-    positivity at the simplex vertices.  The trivial v = 0 is included.
+    For f = v(x_1 + ... + x_l) + lam the csc equation is the quadratic
+        l(n+1-l) v^2 + lam(2l-n-1) v - lam^2 = (l v - lam)((n+1-l) v + lam) = 0,
+    whose nontrivial candidates v = lam/l and v = -lam/(n-l+1) make the
+    vertex value lam - l v, or lam + v(n-l+1), exactly 0: neither is
+    admissible (strictly positive at the simplex vertices), as each is
+    tested.  The trivial v = 0 is included.
     """
     if not (isinstance(n, int) and n >= 2):
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
@@ -251,10 +248,6 @@ def toric_csc_solutions(n, lam, l):
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
     candidates = [Fraction(lam, l), Fraction(-lam, n - l + 1)]
-    for v in candidates:
-        residual = ((n + 1) * l - l * l) * v * v + lam * (2 * l - (n + 1)) * v - lam * lam
-        if residual != 0:
-            raise InternalInconsistency("candidate fails the csc quadratic")
 
     def admissible(v):
         # vertex values of f: lam - lv at the bottom and the peaks beyond l,

@@ -166,6 +166,41 @@ def test_intpoly_division_and_evaluation_match_unipoly(a, b, t):
         assert pa.primitive().coeffs[-1] * pa.coeffs[-1] > 0
 
 
+@given(int_lists, int_lists, st.integers(-50, 50))
+def test_intpoly_and_unipoly_share_one_ring_arithmetic(cs, other, k):
+    pa, ua = IntPoly(cs), UniPoly(cs)
+    pb, ub = IntPoly(other), UniPoly(other)
+    pairs = ((pa + pb, ua + ub), (pa - pb, ua - ub), (-pa, -ua), (pa * pb, ua * ub),
+             (pa * k, ua * k), (k * pa, k * ua), (pa.derivative(), ua.derivative()))
+    for got, want in pairs:
+        assert type(got) is IntPoly and type(want) is UniPoly
+        assert got.coeffs == want.coeffs
+        assert all(type(v) is int for v in got.coeffs)
+    assert pa.degree == ua.degree and bool(pa) == bool(ua)
+
+
+@pytest.mark.parametrize("left, right", [
+    (UniPoly((F(1, 2), 1)), IntPoly((1, 2))),
+    (IntPoly((1, 2)), UniPoly((1,))),
+    (IntPoly((1, 2)), F(1, 2)),
+    (F(1, 2), IntPoly((1, 2))),
+    (IntPoly((1, 2)), 0.5),
+    (UniPoly((1, 2)), 0.5),
+], ids=["uni-int", "int-uni", "int-fraction", "fraction-int", "int-float", "uni-float"])
+def test_operands_outside_the_ring_raise_type_error(left, right):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(left, right)
+    assert left != right
+
+
+def test_intpoly_equality_and_hash_go_by_coefficients():
+    a, b = IntPoly((1, 2)), IntPoly([1, 2, 0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != IntPoly((1, 3)) and IntPoly((3,)) == 3 and IntPoly() == 0
+    assert IntPoly((1, 2)) != UniPoly((1, 2))
+
+
 @pytest.mark.parametrize("bits", [2, 8, 61, 200])
 def test_intpoly_unpack_inverts_pack_on_small_coefficients(bits):
     top = 2 ** (bits - 1) - 1
@@ -757,3 +792,10 @@ def test_multipoly_basics():
     p = MultiPoly(2, {(1, 1): 1, (2, 0): 1})
     assert not p.is_affine()
     assert MultiPoly(2, {(1, 0): 1, (0, 1): 2, (0, 0): 1}).is_affine()
+
+
+@pytest.mark.parametrize("n_vars, terms", [(1, {(1.5,): 1}), (1, {("2",): 1}), (1.5, None)],
+                         ids=["fractional-exponent", "str-exponent", "fractional-n_vars"])
+def test_multipoly_rejects_non_integer_exponents_and_counts(n_vars, terms):
+    with pytest.raises(DomainError):
+        MultiPoly(n_vars, terms)

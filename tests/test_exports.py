@@ -63,3 +63,16 @@ def test_the_bernstein_kernel_has_one_exported_entry_point():
               == bernstein.__name__]
     assert public == ["certify_positive"]
     assert "certify_positive" in sasakijoin.exactmath.__all__
+
+
+def test_the_dense_ring_arithmetic_is_written_once():
+    # IntPoly and UniPoly inherit their ring operations from DensePoly, so
+    # a second copy in either class fails here
+    from sasakijoin.exactmath.intpoly import DensePoly
+    shared = ["degree", "__bool__", "__eq__", "__hash__", "__add__", "__radd__",
+              "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "derivative"]
+    assert [name for name in shared if name not in vars(DensePoly)] == []
+    for cls in (sasakijoin.exactmath.IntPoly, sasakijoin.exactmath.UniPoly):
+        assert issubclass(cls, DensePoly)
+        assert [name for name in shared if name in vars(cls)] == []
+    assert "DensePoly" not in sasakijoin.exactmath.__all__

@@ -478,6 +478,26 @@ def test_twin_weights_examples():
         twin_weights(1, 0)
 
 
+def test_twin_weights_share_one_curvature_symbolically():
+    # m = p - n is 1-d at p_low and d+2 at p_high; both give (2-m)(m-1) =
+    # -d(d+1), so 2(2-m)(m-1)/(n+1) is scal1 at both weights
+    d, n = sympy.symbols("d n")
+    scal1 = -2 * d * (d + 1) / (n + 1)
+    for p in (n - d + 1, d + n + 2):
+        m = p - n
+        assert sympy.simplify(2 * (2 - m) * (m - 1) / (n + 1) - scal1) == 0
+
+
+def test_toric_csc_quadratic_factors_symbolically():
+    n, l, lam, v = sympy.symbols("n l lam v")
+    quadratic = ((n + 1) * l - l * l) * v * v + lam * (2 * l - (n + 1)) * v - lam * lam
+    assert sympy.expand(quadratic - (l * v - lam) * ((n + 1 - l) * v + lam)) == 0
+    # each nontrivial candidate makes one vertex value exactly zero
+    for root, vertex_value in ((lam / l, lam - l * v), (-lam / (n - l + 1), lam + v * (n - l + 1))):
+        assert sympy.simplify(quadratic.subs(v, root)) == 0
+        assert sympy.simplify(vertex_value.subs(v, root)) == 0
+
+
 def test_toric_csc_candidates():
     out = toric_csc_solutions(2, F(1), 1)
     assert [sol["v"] for sol in out["solutions"]] == [0, F(1), F(-1, 2)]
