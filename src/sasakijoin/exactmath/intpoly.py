@@ -52,7 +52,8 @@ class DensePoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its scalar, so it hashes as one
+        return hash(self.coeffs if len(self.coeffs) > 1 else sum(self.coeffs))
 
     def __add__(self, other):
         a, b = self.coeffs, self._terms(other)

@@ -3,11 +3,10 @@
 Everything here is exact.  isolate_roots is the one path from a polynomial to
 its certified roots: it divides out roots at the interval ends, brackets each
 remaining root strictly inside the open interval by a RootInterval certified
-by a Sturm count of 1 over the bracket, refines a bracket holding one root to
-the requested width by quadratic interval refinement, which lands on the
-bracket bisection reaches, and pins the root to a rational value that exact
-evaluation confirms, or proves it irrational by the rational root
-theorem.
+by a Sturm count of 1 over the bracket, and pins the root to a rational value
+that exact evaluation confirms, or proves it irrational by the rational root
+theorem.  _refine, quadratic interval refinement onto bisection's bracket, is
+the one refinement of a one-root bracket, for isolation and identification.
 
 A polynomial argument is a UniPoly or an IntPoly, and the work is on an
 IntPoly, the primitive integer multiple of a UniPoly: the one Sturm sequence is
@@ -126,6 +125,103 @@ def is_positive_on_open(p, lo, hi):
     return p.homogeneous((lo + hi) / 2) > 0
 
 
+def _refine(sf, a, b, d, fa, fb, width, ends=None):
+    """Bisection's bracket of the simple root of sf in (a/d, b/d), at most
+    width wide and, given ends = (a0, b0, d0), ending at neither lo = a0/d0
+    nor hi = b0/d0, as (a, b, d); fa and fb are sf at a/d and b/d scaled by
+    d^deg sf.  Without ends, a root met at a point r/d returns as (r, r, d).
+
+    With ends, a midpoint that is the root moves the split to a + 3(b-a)/7
+    (isolate_roots' nudge) while the bracket is wider than width, and past it
+    gives a bracket around the root, off it by a quarter of the least of its
+    distances to lo and hi and the bracket's width.  Sides are read off the
+    tightest points p < root < q where sf is known (fp, fq), evaluating only
+    a point strictly between them, which then becomes p or q; a <= p and
+    q <= b (the nudge point is evaluated).
+
+    Quadratic interval refinement (Abbott, ISSAC 2006) guesses that of the 2^e
+    equal parts of the bracket the one holding the zero of the secant through
+    p and q holds the root (at e = 2 after reading the midpoint, so that only
+    bisection's points are read), and confirms it by the sides of its ends.  A
+    confirmed part i is e steps of bisection: each midpoint of the first e
+    halvings is a point of the grid (a 2^e + j (b-a))/(d 2^e), not strictly
+    inside the part and so not the root, and its side keeps the half holding
+    the part, which after l <= e halvings is part i >> (e-l) of 2^l.  Wider
+    than width, e is capped at the halvings after which the width test
+    passes; past the width, bisection stops at the first level l whose part
+    leaves the ends: part i >> (e-l) starts at lo iff the bracket does and
+    that index is 0, and ends at hi iff the bracket does and (2^e-1-i) >>
+    (e-l) is 0, so l = e - k with k + 1 the bit length of t, the least of i
+    (at lo) and 2^e-1-i (at hi), and t = 0 keeps the whole part.  A confirmed
+    guess doubles e; otherwise one bisection step is taken and e halves, down
+    to 1 (plain bisection, after which e is 2 again), and the denominator
+    goes back to the least that holds p and q.
+    """
+    n, wn, wd = sf.degree, width.numerator, width.denominator
+    p, q, fp, fq, left = a, b, fa, fb, fa > 0
+
+    def side(t):
+        # True when t/d lies left of the root, False right of it, None at it
+        nonlocal p, q, fp, fq
+        if p < t < q:
+            v = sf.homogeneous(t, d)
+            if v and (v > 0) == left:
+                p, fp = t, v
+            elif v:
+                q, fq = t, v
+        return None if p < t < q else t <= p
+
+    # without ends, d0 = 0 puts lo and hi where no bracket ends
+    a0, b0, d0 = ends or (1, 1, 0)
+    at_lo = at_hi = False
+    e = 2
+    while True:
+        x, y = (b - a) * wd, wn * d
+        if x <= y:
+            at_lo, at_hi = a * d0 == a0 * d, b * d0 == b0 * d
+            if not (at_lo or at_hi):
+                return a, b, d
+        else:
+            # guess no deeper than the least j with x <= y 2^j
+            j = x.bit_length() - y.bit_length()
+            e = min(e, j + (y << j < x))
+        if e > 1:
+            # over d 2^e, part i of the bracket is (a + i span, a + (i+1) span)
+            span = b - a
+            a, b, p, q, d = a << e, b << e, p << e, q << e, d << e
+            fp, fq = fp << e * n, fq << e * n
+            i = (p - a + (q - p) * fp // (fp - fq)) // span
+            m = a + i * span
+            if e == 2 and side(a + 2 * span) is None and not ends:
+                return a + 2 * span, a + 2 * span, d
+            at_m = side(m)
+            at_r = side(m + span) if at_m else None
+            if at_m and at_r is False:
+                t = min(i if at_lo else 1 << e, (1 << e) - 1 - i if at_hi else 1 << e)
+                k = max(t.bit_length() - 1, 0) if x <= y else 0
+                a, b, e = a + (i >> k << k) * span, a + ((i >> k) + 1 << k) * span, 2 * e
+                continue
+            if not ends and (at_m is None or at_m and at_r is None):
+                m += span * bool(at_m)
+                return m, m, d
+            z = ((p | q | 1 << e) & -(p | q | 1 << e)).bit_length() - 1
+            a, b, p, q, d, fp, fq = a >> z, b >> z, p >> z, q >> z, d >> z, fp >> z * n, fq >> z * n
+        e = e // 2 or 2
+        m, a, b, p, q, d, fp, fq = a + b, 2 * a, 2 * b, 2 * p, 2 * q, 2 * d, fp << n, fq << n
+        at_m = side(m)
+        if at_m is None:
+            if not ends:
+                return m, m, d
+            if x <= y:
+                off = min(m * d0 - a0 * d, b0 * d - m * d0, (b - a) * d0)
+                return 4 * m * d0 - off, 4 * m * d0 + off, 4 * d * d0
+            a, b, p, q, d = 7 * a + 3 * (b - a), 7 * b, 7 * p, 7 * q, 7 * d
+            fp, fq = fp * 7 ** n, fq * 7 ** n
+            side(a)
+        else:
+            a, b = (m, b) if at_m else (a, m)
+
+
 def isolate_roots(p, lo, hi, width):
     """Every root of p in the open interval (lo, hi), isolated and identified.
 
@@ -142,43 +238,15 @@ def isolate_roots(p, lo, hi, width):
     (w itself when the term is a constant) is sf, the squarefree part of w up
     to a nonzero factor, which changes sign across each of its roots.  The
     factor may be negative, since the last term's sign is not fixed, but every
-    sign test here (bisection, the nudge off a root, the refinement's check,
-    identify_rational_root) compares two signs of sf, so the result does not
-    depend on it.
+    sign test here (the split, _refine, identify_rational_root) compares two
+    signs of sf, so the result does not depend on it.
 
-    The brackets are those of bisection: a bracket with more than one root is
-    split at its midpoint, or nudged off a root of sf to the offsets k/(2k+1),
-    and a bracket with one root is halved to the side where sf changes sign
-    until it is at most width wide.  The bisection runs on integers.  Each
-    bracket is (a/d, b/d), two integer numerators over one shared denominator
-    d > 0: a split point a + (b-a) t/u is (a u + (b-a) t)/(d u), and the
-    bracket moves to the denominator d u.  Signs and Sturm variations are read
-    at n/m without reducing it, since m^deg q(n/m) has the sign of q(n/m) for
-    every m > 0 (IntPoly.homogeneous).  The width test and the comparisons
-    with lo and hi are cross-multiplied, and Fractions are built only for the
-    returned ends.
-
-    A one-root bracket reaches its width by quadratic interval refinement
-    (Abbott, "Quadratic interval refinement for real roots", ISSAC 2006),
-    which lands on the bracket bisection reaches in fewer evaluations.  sf
-    is nonzero at both ends of the bracket (lo and hi are no roots of w, and
-    every split point is off the roots of sf) and has one simple root inside,
-    so fa and fb, its values at a/d and b/d both scaled by d^deg sf, have
-    opposite signs, and the secant through them meets zero at the fraction
-    fa/(fa-fb) of the bracket, strictly between 0 and 1.  The bracket is cut
-    into 2^e equal parts, and part i = floor(2^e fa/(fa-fb)), in [0, 2^e-1],
-    is guessed to hold the root.  The guess is confirmed when sf is nonzero
-    at both ends of the part with the signs of fa and fb; then the root lies
-    strictly inside the part.  A confirmed part is exactly e steps of
-    bisection: each midpoint of the first e halvings is a point of the grid
-    (a 2^e + j (b-a))/(d 2^e), so it is not strictly inside the part and not
-    the root, no nudge fires, and the sign of sf there keeps the half that
-    holds the root and so the part; after e halvings the bracket is the
-    part, with the same numerators.  e is capped at the number of halvings
-    after which the width test passes, so bisection would not stop inside
-    the jump.  A confirmed guess doubles e; otherwise one bisection step is
-    taken and e halves, down to 1, where the step is plain bisection and e
-    goes back to 2.
+    Each bracket is (a/d, b/d), integer numerators over a denominator d > 0;
+    signs and Sturm variations are read at n/m unreduced, since m^deg q(n/m)
+    has the sign of q(n/m) for m > 0 (IntPoly.homogeneous).  A bracket with
+    more than one root is split at its midpoint, or nudged off a root of sf
+    to the offsets k/(2k+1); one with a single root goes to _refine with lo
+    and hi as its ends.
     """
     width = Fraction(width)
     if width <= 0:
@@ -189,40 +257,16 @@ def isolate_roots(p, lo, hi, width):
     sf = w.exact_div(g.primitive()) if g.degree >= 1 else w
     n = sf.degree
     # lo = a0/d0 and hi = b0/d0; every bracket below is (a/d, b/d), d > 0
-    d0 = math.lcm(lo.denominator, hi.denominator)
-    a0, b0 = lo.numerator * (d0 // lo.denominator), hi.numerator * (d0 // hi.denominator)
-    wn, wd = width.numerator, width.denominator
+    ends = a0, b0, d0 = (lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                         lo.denominator * hi.denominator)
     out = []
-    # (a, b, d, Sturm variations at a/d and b/d, sf at a/d and b/d scaled by
-    # d^n); the left half is refined first and the right one waits on the
-    # stack, so roots come out in order
+    # (a, b, d, Sturm variations and sf scaled by d^deg sf at a/d and b/d);
+    # the right half waits on the stack, so roots come out in order
     stack = [(a0, b0, d0, _variations(chain, a0, d0), _variations(chain, b0, d0),
               sf.homogeneous(a0, d0), sf.homogeneous(b0, d0))]
     while stack:
         a, b, d, va, vb, fa, fb = stack.pop()
-        e = 2
-        while va - vb > 1 or (va - vb == 1 and (b - a) * wd > wn * d):
-            if va - vb == 1:
-                # bisection stops after j more halvings, the least j with
-                # (b-a) wd <= wn d 2^j: guess no deeper
-                x, y = (b - a) * wd, wn * d
-                j = x.bit_length() - y.bit_length()
-                e = min(e, j + (y << j < x))
-            if va - vb == 1 and e > 1:
-                # part i of 2^e by the secant, confirmed by sf's signs at its
-                # ends; an end of the bracket keeps its value, rescaled
-                i, span = (fa << e) // (fa - fb), b - a
-                m, d2 = (a << e) + i * span, d << e
-                fm = sf.homogeneous(m, d2) if i else fa << e * n
-                if fm and (fm > 0) == (fa > 0):
-                    fr = (sf.homogeneous(m + span, d2) if i + 1 < 1 << e
-                          else fb << e * n)
-                    if fr and (fr > 0) == (fb > 0):
-                        a, b, d, fa, fb, e = m, m + span, d2, fm, fr, 2 * e
-                        continue
-                e //= 2
-            else:
-                e = 2
+        while va - vb > 1:
             # split at a + (b-a) t/u: the midpoint, or nudged off a root of sf
             # to the offsets k/(2k+1), which are all distinct
             t, u, k = 1, 2, 3
@@ -233,34 +277,13 @@ def isolate_roots(p, lo, hi, width):
             a, b, d, m = a * u, b * u, d * u, a * u + (b - a) * t
             # the kept end values move to the denominator d u
             fa, fb = fa * u ** n, fb * u ** n
-            if va - vb == 1:
-                # one simple root, and sf(a) != 0: the sign of sf(m) decides
-                if (fm > 0) == (fa > 0):
-                    a, fa = m, fm
-                else:
-                    b, fb = m, fm
-            else:
-                vm = _variations(chain, m, d)
-                stack.append((m, b, d, vm, vb, fm, fb))
-                b, vb, fb = m, vm, fm
-        if va - vb != 1:
-            continue
-        # a bracket of a coarse width can still end at lo or hi
-        while a * d0 == a0 * d or b * d0 == b0 * d:
-            a, b, d, m = 2 * a, 2 * b, 2 * d, a + b
-            fm = sf.homogeneous(m, d)
-            if fm == 0:
-                # landed on the (rational) root: rebuild a bracket inside, off
-                # it by a quarter of the least of m - lo, hi - m and b - a
-                off = min(m * d0 - a0 * d, b0 * d - m * d0, (b - a) * d0)
-                a, b, d = 4 * m * d0 - off, 4 * m * d0 + off, 4 * d * d0
-                break
-            if (fm > 0) == (fa > 0):
-                a, fa = m, fm
-            else:
-                b = m
-        a, b = Fraction(a, d), Fraction(b, d)
-        out.append(RootInterval(a, b, identify_rational_root(sf, a, b)))
+            vm = _variations(chain, m, d)
+            stack.append((m, b, d, vm, vb, fm, fb))
+            b, vb, fb = m, vm, fm
+        if va - vb == 1:
+            a, b, d = _refine(sf, a, b, d, fa, fb, width, ends)
+            a, b = Fraction(a, d), Fraction(b, d)
+            out.append(RootInterval(a, b, identify_rational_root(sf, a, b)))
     return out
 
 
@@ -292,28 +315,23 @@ def identify_rational_root(p, lo, hi):
     sign and zero.  Requires a sign change across the bracket.  By the
     rational root theorem every rational root of p is j/l with j an integer
     and l the leading coefficient of p's primitive integer multiple, up to
-    sign.  Bisecting to width at most 1/l leaves one candidate j/l to test,
-    so None proves the root irrational.
+    sign.  _refine narrows the bracket to width at most 1/l, or meets the
+    root, and one candidate j/l is left to test, so None proves the root
+    irrational.
     """
-    p = _as_intpoly(p)
-    lo, hi = Fraction(lo), Fraction(hi)
-    v_lo, v_hi = p.homogeneous(lo), p.homogeneous(hi)
-    if v_lo == 0 or v_hi == 0:
-        return lo if v_lo == 0 else hi
-    if (v_lo > 0) == (v_hi > 0):
+    p, lo, hi = _as_intpoly(p), Fraction(lo), Fraction(hi)
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    fa, fb = p.homogeneous(a, d), p.homogeneous(b, d)
+    if fa == 0 or fb == 0:
+        return lo if fa == 0 else hi
+    if (fa > 0) == (fb > 0):
         return None
     grid = abs(p.coeffs[-1]) // math.gcd(*p.coeffs)
-    positive_left = v_lo > 0
-    while (hi - lo) * grid > 1:
-        mid = (lo + hi) / 2
-        v = p.homogeneous(mid)
-        if v == 0:
-            return mid
-        if (v > 0) == positive_left:
-            lo = mid
-        else:
-            hi = mid
-    cand = Fraction(math.floor(lo * grid) + 1, grid)
-    if cand < hi and p.homogeneous(cand) == 0:
-        return cand
+    a, b, d = _refine(p, a, b, d, fa, fb, Fraction(1, grid))
+    if a == b:
+        return Fraction(a, d)
+    j = a * grid // d + 1
+    if j * d < b * grid and p.homogeneous(j, grid) == 0:
+        return Fraction(j, grid)
     return None

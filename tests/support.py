@@ -6,13 +6,12 @@ import runpy
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, floor, gcd
 from pathlib import Path
 
 from sasakijoin import UniPoly, exact_divide, integrate_weighted_monomial, make_setup
 from sasakijoin.exactmath import decimal_str, format_rational
-from sasakijoin.exactmath.roots import (RootInterval, _prepare, _variations,
-                                        identify_rational_root)
+from sasakijoin.exactmath.roots import RootInterval, _as_intpoly, _prepare, _variations
 from sasakijoin.profile import _read
 # the worked examples are built once, by the reproduction suite
 from sasakijoin.reproduce import (  # noqa: F401
@@ -278,8 +277,35 @@ def fraction_isolate_roots(p, lo, hi, width):
                 a, fa = m, fm
             else:
                 b = m
-        out.append(RootInterval(a, b, identify_rational_root(sf, a, b)))
+        out.append(RootInterval(a, b, fraction_identify_rational_root(sf, a, b)))
     return out
+
+
+def fraction_identify_rational_root(p, lo, hi):
+    """identify_rational_root by plain Fraction bisection to width 1/l: the
+    reference for the library's refinement, which returns the same value."""
+    p = _as_intpoly(p)
+    lo, hi = Fraction(lo), Fraction(hi)
+    v_lo, v_hi = p.homogeneous(lo), p.homogeneous(hi)
+    if v_lo == 0 or v_hi == 0:
+        return lo if v_lo == 0 else hi
+    if (v_lo > 0) == (v_hi > 0):
+        return None
+    grid = abs(p.coeffs[-1]) // gcd(*p.coeffs)
+    positive_left = v_lo > 0
+    while (hi - lo) * grid > 1:
+        mid = (lo + hi) / 2
+        v = p.homogeneous(mid)
+        if v == 0:
+            return mid
+        if (v > 0) == positive_left:
+            lo = mid
+        else:
+            hi = mid
+    cand = Fraction(floor(lo * grid) + 1, grid)
+    if cand < hi and p.homogeneous(cand) == 0:
+        return cand
+    return None
 
 
 def cleared_moment_cramer(setup):

@@ -2,7 +2,8 @@
 subcommands ends in exit 0 with a document, or in exit 1 with a message on
 the last line of stderr, and never in a traceback.
 
-Inputs stay cheap: heights up to about 10^40, d <= 2, grid_n <= 64, boundary
+Inputs stay cheap: heights up to about 10^40 (10^1000 for --a, where a cscS
+root lies within about 2^-3300 of c = -1 or 1), d <= 2, grid_n <= 64, boundary
 widths of at least 2^-64 and csc-roots widths of at least 2^-4096, next to
 values outside each domain (d = 0, x outside (0, 1), |c| >= 1, width <= 0,
 grid_n outside [8, 4096], boundary_width below 2^-256).  Each output flag
@@ -26,9 +27,13 @@ import sasakijoin.cli as cli
 
 HEIGHT = 10 ** 40
 HUGE = 10 ** 400   # past the largest double
+A_HEIGHT = 10 ** 1000
 
 heights = st.one_of(st.integers(-50, 50), st.integers(-HEIGHT, HEIGHT))
 rationals = st.builds(Fraction, heights, st.one_of(st.integers(1, 50), st.integers(1, HEIGHT)))
+# --a also reaches huge heights; each refinement is O(log bits) evaluations
+a_values = st.one_of(rationals, st.builds(Fraction, st.integers(-A_HEIGHT, A_HEIGHT),
+                                          st.integers(1, HEIGHT)))
 
 
 @st.composite
@@ -53,7 +58,7 @@ WIDTHS = st.builds(Fraction, st.integers(1, HEIGHT),
 # setup subcommands
 FLAGS = {
     "--d": (st.integers(1, 2), st.integers(-1, 0)),
-    "--a": (rationals, None),
+    "--a": (a_values, None),
     "--g2": (st.integers(0, 50), st.just(-1)),
     "--k": (st.integers(1, 50), st.integers(-1, 0)),
     "--x": (inside(0), outside(0)),
@@ -131,6 +136,9 @@ def _run(argv):
 # a cscS root within 2^-1024 of c = -1: its slope is past the largest double
 @example(("scan", ["--d", "1", "--a", str(HUGE), "--g2", "0", "--k", "1", "--x", "1/2"],
           {"--svg": "fresh"}))
+# cscS roots within about 2^-3300 of c = -1 and 1, bracketed at a coarse width
+@example(("csc-roots", ["--d", "2", "--a", str(A_HEIGHT), "--g2", "2", "--k", "1", "--x", "1/2",
+                        "--width", "1/2"], {}))
 # the document is rendered before the CSV file fails to be written
 @example(("scan", ["--d", "1", "--a", "3", "--g2", "2", "--k", "1", "--x", "1/2"],
           {"--csv": "under a plain file"}))

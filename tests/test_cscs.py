@@ -23,6 +23,7 @@ from sasakijoin import (
 from sasakijoin.errors import DomainError, WrongWeight
 from sasakijoin.exactmath import IntPoly, integrals, isolate_roots, roots
 from support import (
+    fraction_isolate_roots,
     moment_condition,
     moment_numerator,
     proportional,
@@ -341,6 +342,23 @@ def test_refinement_evaluation_ceilings(monkeypatch):
         (root,) = csc_roots(setup, width)
         assert root.width <= width and root.exact_value is None
         assert calls[0] <= ceiling, (width, calls[0])
+    # at a = 10^1000 the roots lie within about 2^-3300 of -1 and 1, and the
+    # same refinement moves each bracket off the ends and identifies it (at
+    # one evaluation per halving, the two made 9,836 evaluations)
+    calls[0] = 0
+    huge = csc_roots(make_setup(d=1, a=10 ** 1000, genus_g2=2, degree_k=1, x=F(1, 2)),
+                     F(1, 2 ** 64))
+    assert len(huge) == 3 and all(iv.exact_value is None for iv in huge)
+    assert calls[0] <= 150, calls[0]
+    # an irrational root -1 + 2^-3000 sqrt(2) at width 1/2: bisection reaches
+    # (-1, -1/2) and halves about 3,000 times more to leave -1
+    p = IntPoly((2 ** 6000 - 2, 2 ** 6001, 2 ** 6000))
+    calls[0] = 0
+    ivs = isolate_roots(p, -1, 1, F(1, 2))
+    assert calls[0] <= 100, calls[0]
+    monkeypatch.undo()
+    assert ivs == fraction_isolate_roots(p, -1, 1, F(1, 2))
+    assert len(ivs) == 1 and -1 < ivs[0].lo and ivs[0].hi < -1 + F(1, 2 ** 2998)
 
 
 def test_csc_roots_rejects_nonpositive_width():

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sasakijoin.errors import (
@@ -37,7 +37,8 @@ from sasakijoin.exactmath import (
     squarefree_part,
     sturm_count_roots,
 )
-from support import digit_limit, fraction_isolate_roots, poly_divmod
+from support import (digit_limit, fraction_identify_rational_root, fraction_isolate_roots,
+                     poly_divmod)
 
 F = Fraction
 
@@ -199,6 +200,13 @@ def test_intpoly_equality_and_hash_go_by_coefficients():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != IntPoly((1, 3)) and IntPoly((3,)) == 3 and IntPoly() == 0
     assert IntPoly((1, 2)) != UniPoly((1, 2))
+
+
+@pytest.mark.parametrize("poly, scalar", [(UniPoly((3,)), 3), (UniPoly(()), 0),
+                                          (IntPoly((5,)), 5), (UniPoly((F(1, 2),)), F(1, 2))])
+def test_a_constant_hashes_as_the_scalar_it_equals(poly, scalar):
+    assert poly == scalar and hash(poly) == hash(scalar)
+    assert scalar in {poly} and poly in {scalar} and {poly: 1}[scalar] == 1
 
 
 @pytest.mark.parametrize("bits", [2, 8, 61, 200])
@@ -670,6 +678,39 @@ def test_identify_rational_root_is_complete(case, width):
             assert iv.exact_value == found
             # at least the two end signs, so the count is not vacuous
             assert 2 <= counted.calls <= _ceil_log2(grid * iv.width) + 3
+
+
+@st.composite
+def one_root_brackets(draw):
+    """(p, lo, hi): p = scale (m z - k) q with q one of a few quadratics, and
+    a bracket holding at most one root of p, ends included.  A center, k/m
+    or a rational near sqrt(2) or sqrt(3), lies at a dyadic point of the
+    bracket (a midpoint of its bisection), at an end, or anywhere; m runs
+    past 2^64."""
+    m = draw(st.one_of(st.integers(1, 50), st.integers(2 ** 64, 2 ** 70)))
+    root = F(draw(st.integers(-4 * m, 4 * m)), m)
+    q = draw(st.sampled_from([UniPoly((1, 0, 1)), UniPoly((-2, 0, 1)), UniPoly((-3, 0, 1)),
+                              UniPoly((5, -3, 1))]))
+    width = draw(st.one_of(st.fractions(F(1, 1000), 4, max_denominator=1000),
+                           st.integers(1, 200).map(lambda e: F(1, 2 ** e))))
+    at = draw(st.one_of(st.sampled_from([F(0), F(1)]),
+                        st.tuples(st.integers(0, 2 ** 12), st.integers(1, 12)).map(
+                            lambda t: F(2 * (t[0] % 2 ** (t[1] - 1)) + 1, 2 ** t[1])),
+                        st.fractions(0, 1, max_denominator=10 ** 6)))
+    lo = draw(st.sampled_from([root, F(99, 70), F(-97, 56)])) - at * width
+    p = UniPoly((-root.numerator, root.denominator)) * q * draw(rationals.filter(bool))
+    return p, lo, lo + width
+
+
+@given(one_root_brackets())
+# 1/2 is the first midpoint of (0, 1), and 3/2 the lower end of its bracket
+@example((UniPoly((-1, 2)) * UniPoly((1, 0, 1)), F(0), F(1)))
+@example((UniPoly((-3, 2)) * UniPoly((1, 0, 1)), F(3, 2), F(5, 2)))
+def test_identification_matches_the_fraction_bisection(case):
+    p, lo, hi = case
+    ends = sum(1 for end in (lo, hi) if p(end) == 0)
+    assume(sturm_count_roots(p, lo, hi) + ends <= 1)
+    assert identify_rational_root(p, lo, hi) == fraction_identify_rational_root(p, lo, hi)
 
 
 def test_root_interval_validation():
